@@ -139,9 +139,8 @@ pub fn export_all(session: &mut Session, out_dir: &Path) -> std::io::Result<()> 
         }
         Some(spill) => {
             let dir = spill.join("export");
-            if dir.exists() {
-                std::fs::remove_dir_all(&dir)?;
-            }
+            let io_err = |e: flowstore::Error| std::io::Error::other(format!("{e}"));
+            flowstore::fresh_dir(&dir).map_err(io_err)?;
             let cfg = session.traffic_config();
             let results = trafficgen::synthesize_profiles_with(
                 &session.world,
@@ -155,23 +154,13 @@ pub fn export_all(session: &mut Session, out_dir: &Path) -> std::io::Result<()> 
                     (flowstore::DigestSink::new(), sink)
                 },
             );
-            let io_err = |e: flowstore::Error| std::io::Error::other(format!("{e}"));
             let mut analyses = Vec::with_capacity(results.len());
             for (summary, (live, spill_sink)) in results {
                 let metas = spill_sink.finish().map_err(io_err)?;
                 let mut collect = flowmon::CollectSink::new();
-                let mut replayed = flowstore::DigestSink::new();
                 flowstore::PartSet::from_metas(metas)
-                    .replay_into(&mut (&mut collect, &mut replayed))
+                    .replay_verified(&live, &mut collect)
                     .map_err(io_err)?;
-                if replayed.digest() != live.digest() {
-                    panic!(
-                        "spill replay diverged for residence {}: live {:#018x} vs replay {:#018x}",
-                        summary.profile.key,
-                        live.digest(),
-                        replayed.digest(),
-                    );
-                }
                 let ds = trafficgen::ResidenceDataset {
                     profile: summary.profile,
                     flows: collect.into_records(),

@@ -197,19 +197,15 @@ fn spill_run(
     agg: &mut SubscriberAgg,
     dir: &std::path::Path,
 ) -> flowstore::DigestSink {
-    if dir.exists() {
-        if let Err(e) = std::fs::remove_dir_all(dir) {
-            panic!("clearing spill dir {}: {e}", dir.display());
-        }
-    }
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        panic!("creating spill dir {}: {e}", dir.display());
+    if let Err(e) = flowstore::fresh_dir(dir) {
+        panic!("clearing spill dir: {e}");
     }
     let shards = num_shards(world, cfg);
     let tasks: Vec<(u32, usize)> = (0..cfg.num_days)
         .flat_map(|day| (0..shards).map(move |shard| (day, shard)))
         .collect();
     let mut live = flowstore::DigestSink::new();
+    let mut writer = flowstore::PartWriter::new();
     let mut metas = Vec::with_capacity(tasks.len());
     // Same chunked fan-out as the in-memory path: one chunk of tasks in
     // flight, flushed (digested + written) in canonical day-major order.
@@ -221,7 +217,7 @@ fn spill_run(
         for ((day, shard), records) in window.iter().zip(buffers) {
             live.accept_batch(&records);
             let path = dir.join(flowstore::part_file_name(*shard as u64, *day as u64, 0));
-            match flowstore::write_part(&path, *shard as u64, *day as u64, 0, &records) {
+            match writer.write(&path, *shard as u64, *day as u64, 0, &records) {
                 Ok(meta) => metas.push(meta),
                 Err(e) => panic!("writing part {}: {e}", path.display()),
             }
@@ -234,20 +230,10 @@ fn spill_run(
     );
     // Replay feeds the aggregator: the report is a function of the parts
     // on disk, and the digests prove the parts are the stream.
-    let mut replayed = flowstore::DigestSink::new();
-    let stats = match flowstore::PartSet::from_metas(metas).replay_into(&mut (agg, &mut replayed)) {
+    let stats = match flowstore::PartSet::from_metas(metas).replay_verified(&live, agg) {
         Ok(s) => s,
         Err(e) => panic!("replaying spilled parts: {e}"),
     };
-    if replayed.digest() != live.digest() {
-        panic!(
-            "spill replay diverged: live {:#018x} ({} rows) vs replay {:#018x} ({} rows)",
-            live.digest(),
-            live.count(),
-            replayed.digest(),
-            stats.rows,
-        );
-    }
     obs::debug!(
         "[repro] million-subs spill verified: {} parts, {} rows, digest {:#018x}",
         stats.parts,

@@ -16,9 +16,28 @@ pub enum Error {
         /// The originating I/O error.
         source: std::io::Error,
     },
-    /// Structural corruption: bad magic, truncated footer, codec overrun,
-    /// or a content digest that does not match the footer.
+    /// Structural corruption: truncation, a checksum mismatch, a footer
+    /// that does not fit the file, or a codec overrun.
     Corrupt(String),
+    /// The file is not an `FSPART2` part: its magic names the older
+    /// `FSPART1` format or no flowstore format at all.
+    Format {
+        /// Path of the file.
+        path: std::path::PathBuf,
+        /// The file's first eight bytes.
+        magic: [u8; 8],
+    },
+    /// A replay delivered a different stream than the live run digested.
+    Diverged {
+        /// Digest of the live stream.
+        live: u64,
+        /// Records in the live stream.
+        live_rows: u64,
+        /// Digest of the replayed stream.
+        replayed: u64,
+        /// Records replayed.
+        replayed_rows: u64,
+    },
 }
 
 impl Error {
@@ -39,6 +58,22 @@ impl fmt::Display for Error {
         match self {
             Error::Io { path, source } => write!(f, "io error at {}: {source}", path.display()),
             Error::Corrupt(msg) => write!(f, "corrupt part: {msg}"),
+            Error::Format { path, magic } => write!(
+                f,
+                "{}: not an FSPART2 part (magic {:?}); re-spill parts from other versions",
+                path.display(),
+                String::from_utf8_lossy(magic)
+            ),
+            Error::Diverged {
+                live,
+                live_rows,
+                replayed,
+                replayed_rows,
+            } => write!(
+                f,
+                "spill replay diverged: live {live:#018x} ({live_rows} rows) vs replay \
+                 {replayed:#018x} ({replayed_rows} rows)"
+            ),
         }
     }
 }
@@ -47,7 +82,7 @@ impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Error::Io { source, .. } => Some(source),
-            Error::Corrupt(_) => None,
+            Error::Corrupt(_) | Error::Format { .. } | Error::Diverged { .. } => None,
         }
     }
 }

@@ -12,18 +12,20 @@
 //! ```text
 //! file: part-s{stream:08}-d{day:08}-q{seq:04}.fsp
 //!
-//! +-------------+--------------------------+--------+------------+------+
-//! | magic (8 B) | column region            | footer | footer len | tail |
-//! |  FSPART1\0  | 13 compressed columns    |        |   (u32 LE) | FSP1 |
-//! +-------------+--------------------------+--------+------------+------+
+//! +-------------+-----------------------+--------+------------+----------+------+
+//! | magic (8 B) | column region         | footer | footer len | checksum | tail |
+//! |  FSPART2\0  | 13 compressed columns |        |   (u32 LE) | (u64 LE) | FSP2 |
+//! +-------------+-----------------------+--------+------------+----------+------+
 //! ```
 //!
 //! The footer records the part identity `(stream, day, seq)`, the row
-//! count, per-column `{offset, len, raw_bytes, min, max}` and an FNV-1a64
-//! content digest over the column region, verified on every read. Codecs:
-//! delta / delta-of-delta for timestamps and ports, first-appearance
-//! dictionaries for addresses, run-length for enum columns, varint for
-//! counters (see [`part`] for the full column table).
+//! count and per-column `{codec, offset, len, raw_bytes, min, max}`. The
+//! checksum covers every byte before it — columns and footer — and is
+//! verified on every read. Codecs: delta-of-delta for timestamps, zigzag
+//! delta or plain varint for ports, first-appearance dictionaries or
+//! plain bits for addresses, run-length for enum columns, varint for
+//! counters; two-codec columns keep the smaller per part (see [`part`]
+//! for the full column table).
 //!
 //! ## Determinism contract
 //!
@@ -35,8 +37,9 @@
 //! * [`PartSet::replay_into`] delivers parts in canonical
 //!   `(day, stream, seq)` order — the emission order of every producer —
 //!   so replay through `flowmon::CollectSink` reproduces the in-memory
-//!   `Vec<FlowRecord>` exactly. Tier-1 tests compare digests
-//!   ([`records_digest`] / [`DigestSink`]) on both sides.
+//!   `Vec<FlowRecord>` exactly. [`PartSet::replay_verified`] proves it at
+//!   run time: it digests the replay ([`DigestSink`]) and fails with
+//!   [`Error::Diverged`] unless it matches the live stream's digest.
 //! * Compacting K parts yields the same bytes as writing their
 //!   concatenated rows as one part.
 //!
@@ -72,8 +75,8 @@ mod store;
 pub use digest::{fnv1a64, records_digest, DigestSink};
 pub use error::{Error, Result};
 pub use part::{
-    parse_part_file_name, part_bytes, part_file_name, read_part, write_part, ColumnMeta, Footer,
-    PartMeta, COLUMNS, COLUMN_NAMES,
+    parse_part_file_name, part_bytes, part_file_name, read_part, write_part, Codec, ColumnMeta,
+    Footer, PartMeta, PartWriter, COLUMNS, COLUMN_NAMES,
 };
 pub use spill::SpillSink;
-pub use store::{PartSet, ReplayStats};
+pub use store::{fresh_dir, PartSet, ReplayStats};

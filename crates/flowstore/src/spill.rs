@@ -12,7 +12,7 @@
 //! partial output).
 
 use crate::error::{Error, Result};
-use crate::part::{part_file_name, write_part, PartMeta};
+use crate::part::{part_file_name, PartMeta, PartWriter};
 use flowmon::{day_of, FlowRecord, FlowSink};
 use std::path::PathBuf;
 
@@ -28,6 +28,7 @@ pub struct SpillSink {
     /// a fresh part file instead of overwriting the earlier one.
     next_seq: std::collections::BTreeMap<u64, u32>,
     sealed: Vec<PartMeta>,
+    writer: PartWriter,
     error: Option<Error>,
 }
 
@@ -44,6 +45,7 @@ impl SpillSink {
             cur_day: None,
             next_seq: std::collections::BTreeMap::new(),
             sealed: Vec::new(),
+            writer: PartWriter::new(),
             error: None,
         })
     }
@@ -60,7 +62,7 @@ impl SpillSink {
         let seq = *seq_slot;
         *seq_slot += 1;
         let path = self.dir.join(part_file_name(self.stream, day, seq));
-        match write_part(&path, self.stream, day, seq, &self.buf) {
+        match self.writer.write(&path, self.stream, day, seq, &self.buf) {
             Ok(meta) => self.sealed.push(meta),
             Err(e) => self.error = Some(e),
         }

@@ -9,10 +9,21 @@
 //! therefore reproduces the original in-memory `Vec<FlowRecord>` exactly;
 //! the tier-1 tests assert this by digest.
 
+use crate::digest::DigestSink;
 use crate::error::{Error, Result};
 use crate::part::{parse_part_file_name, read_part, write_part, PartMeta};
 use flowmon::{FlowRecord, FlowSink};
 use std::path::Path;
+
+/// Remove `dir` with everything in it, if present, and create it empty —
+/// the start of every spill run, so no earlier run's parts are replayed.
+pub fn fresh_dir(dir: impl AsRef<Path>) -> Result<()> {
+    let dir = dir.as_ref();
+    if dir.exists() {
+        std::fs::remove_dir_all(dir).map_err(|e| Error::io(dir, e))?;
+    }
+    std::fs::create_dir_all(dir).map_err(|e| Error::io(dir, e))
+}
 
 /// Summary of a completed replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,7 +99,7 @@ impl PartSet {
     }
 
     /// Replay every part, in canonical order, into `sink`. Each part is
-    /// digest-verified on read and delivered as one `accept_batch` call
+    /// checksum-verified on read and delivered as one `accept_batch` call
     /// (batch boundaries are part boundaries). Peak memory is one decoded
     /// part.
     pub fn replay_into<S: FlowSink>(&self, sink: &mut S) -> Result<ReplayStats> {
@@ -110,6 +121,27 @@ impl PartSet {
         }
         obs::counter_add("flowstore.replay.parts", stats.parts);
         obs::counter_add("flowstore.replay.rows", stats.rows);
+        Ok(stats)
+    }
+
+    /// [`PartSet::replay_into`] `sink`, digesting the replay on the side,
+    /// and fail with [`Error::Diverged`] unless it reproduces the stream
+    /// `live` digested — the runtime proof that the parts are the stream.
+    pub fn replay_verified<S: FlowSink>(
+        &self,
+        live: &DigestSink,
+        sink: &mut S,
+    ) -> Result<ReplayStats> {
+        let mut replayed = DigestSink::new();
+        let stats = self.replay_into(&mut (sink, &mut replayed))?;
+        if (replayed.digest(), replayed.count()) != (live.digest(), live.count()) {
+            return Err(Error::Diverged {
+                live: live.digest(),
+                live_rows: live.count(),
+                replayed: replayed.digest(),
+                replayed_rows: replayed.count(),
+            });
+        }
         Ok(stats)
     }
 
@@ -189,6 +221,36 @@ mod tests {
         let stats = set.replay_into(&mut collect).unwrap();
         assert_eq!(stats.rows, 30);
         assert_eq!(collect.into_records(), expect);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn replay_verified_accepts_the_stream_and_rejects_another() {
+        let dir = std::env::temp_dir().join("flowstore-verified-test");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let rows: Vec<_> = (0..20).map(|i| rec(0, 0, i)).collect();
+        let meta = write_part(dir.join(part_file_name(0, 0, 0)), 0, 0, 0, &rows).unwrap();
+        let set = PartSet::from_metas(vec![meta]);
+
+        let mut live = DigestSink::new();
+        live.accept_batch(&rows);
+        let mut collect = CollectSink::new();
+        let stats = set.replay_verified(&live, &mut collect).unwrap();
+        assert_eq!(stats.rows, 20);
+        assert_eq!(collect.into_records(), rows);
+
+        let mut other = DigestSink::new();
+        other.accept_batch(&rows[1..]);
+        let err = set.replay_verified(&other, &mut CollectSink::new());
+        assert!(matches!(
+            err,
+            Err(Error::Diverged {
+                live_rows: 19,
+                replayed_rows: 20,
+                ..
+            })
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,13 +1,19 @@
 //! Property tests for the flow store: codec round-trip identity over the
 //! full value domain, part encode/decode identity for arbitrary records,
-//! compaction equivalence, and footer min/max consistency.
+//! compaction equivalence, footer min/max consistency, corruption
+//! resistance of sealed parts, and the record digest pinned against a
+//! byte-wise FNV-1a oracle and a golden value.
 
+use flowmon::FlowSink;
 use flowmon::{FlowKey, FlowRecord, IcmpMeta, Proto, Scope};
 use flowstore::codec::{
     decode_delta, decode_delta2, decode_dict, decode_rle, decode_varint, encode_delta,
     encode_delta2, encode_dict, encode_rle, encode_varint,
 };
-use flowstore::{part_bytes, part_file_name, records_digest, write_part, PartSet};
+use flowstore::{
+    part_bytes, part_file_name, read_part, records_digest, write_part, DigestSink, PartSet,
+    PartWriter,
+};
 use proptest::prelude::*;
 use std::net::IpAddr;
 
@@ -79,6 +85,169 @@ fn arb_records() -> impl Strategy<Value = Vec<FlowRecord>> {
     proptest::collection::vec(arb_record(), 0..80)
 }
 
+/// Records whose numeric fields span every byte width: each value is
+/// shifted right by a random amount, so high zero bytes (the digest's
+/// folded fast path) and full-width values both occur.
+fn arb_narrow_record() -> impl Strategy<Value = FlowRecord> {
+    (arb_record(), any::<u64>()).prop_map(|(mut r, shifts)| {
+        let shift = |k: u32| ((shifts >> (k * 6)) % 64) as u32;
+        let narrow_addr = |a: IpAddr, k: u32| match a {
+            IpAddr::V4(v4) => IpAddr::V4((u32::from(v4) >> (shift(k) % 32)).into()),
+            IpAddr::V6(v6) => IpAddr::V6((u128::from(v6) >> (2 * shift(k))).into()),
+        };
+        r.key.src = narrow_addr(r.key.src, 0);
+        r.key.dst = narrow_addr(r.key.dst, 1);
+        r.key.sport >>= shift(2) % 16;
+        r.start >>= shift(3);
+        r.end >>= shift(4);
+        r.bytes_orig >>= shift(5);
+        r.bytes_reply >>= shift(6);
+        r.packets_orig >>= shift(7);
+        r.packets_reply >>= shift(8);
+        r
+    })
+}
+
+/// The record digest's definition, byte by byte: FNV-1a64 over each
+/// record's little-endian serialization, exactly as `flowstore` first
+/// shipped it. `records_digest` and `DigestSink` must match it bit for
+/// bit, whatever shortcuts they take.
+fn oracle_digest(records: &[FlowRecord]) -> u64 {
+    let mut bytes = Vec::new();
+    for r in records {
+        let addr = |a: IpAddr| -> (u8, u128) {
+            match a {
+                IpAddr::V4(v4) => (0, u128::from(u32::from(v4))),
+                IpAddr::V6(v6) => (1, u128::from(v6)),
+            }
+        };
+        let (src_tag, src_bits) = addr(r.key.src);
+        let (dst_tag, dst_bits) = addr(r.key.dst);
+        let icmp = r.key.icmp.map_or(0u64, |m| {
+            (1u64 << 32)
+                | (u64::from(m.icmp_type) << 24)
+                | (u64::from(m.icmp_code) << 16)
+                | u64::from(m.icmp_id)
+        });
+        bytes.push(match r.key.proto {
+            Proto::Tcp => 0,
+            Proto::Udp => 1,
+            Proto::Icmp => 2,
+        });
+        bytes.push(src_tag);
+        bytes.extend_from_slice(&src_bits.to_le_bytes());
+        bytes.push(dst_tag);
+        bytes.extend_from_slice(&dst_bits.to_le_bytes());
+        bytes.extend_from_slice(&r.key.sport.to_le_bytes());
+        bytes.extend_from_slice(&r.key.dport.to_le_bytes());
+        for v in [
+            icmp,
+            r.start,
+            r.end,
+            r.bytes_orig,
+            r.bytes_reply,
+            r.packets_orig,
+            r.packets_reply,
+        ] {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        bytes.push(match r.scope {
+            Scope::External => 0,
+            Scope::Internal => 1,
+        });
+    }
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// A fixed mixed v4/v6/ICMP record set for the golden digest.
+fn golden_records() -> Vec<FlowRecord> {
+    let tcp = FlowRecord {
+        key: FlowKey::tcp(
+            "192.0.2.10".parse().unwrap(),
+            51_234,
+            "2001:db8::443".parse().unwrap(),
+            443,
+        ),
+        start: 86_400_000_000 * 7 + 12_345,
+        end: 86_400_000_000 * 7 + 912_345,
+        bytes_orig: 1_500,
+        bytes_reply: 3_000_000,
+        packets_orig: 12,
+        packets_reply: 2_100,
+        scope: Scope::External,
+    };
+    let udp = FlowRecord {
+        key: FlowKey::udp(
+            "2001:db8:ffff:1::2".parse().unwrap(),
+            5_353,
+            "ff02::fb".parse().unwrap(),
+            5_353,
+        ),
+        start: 0,
+        end: u64::MAX,
+        bytes_orig: 0,
+        bytes_reply: 1 << 56,
+        packets_orig: 1,
+        packets_reply: 0,
+        scope: Scope::Internal,
+    };
+    let icmp = FlowRecord {
+        key: FlowKey::icmp(
+            "10.0.0.1".parse().unwrap(),
+            "8.8.8.8".parse().unwrap(),
+            IcmpMeta {
+                icmp_type: 8,
+                icmp_code: 0,
+                icmp_id: 0xbeef,
+            },
+        ),
+        start: 255,
+        end: 256,
+        bytes_orig: 84,
+        bytes_reply: 84,
+        packets_orig: 1,
+        packets_reply: 1,
+        scope: Scope::External,
+    };
+    vec![tcp, udp, icmp, tcp]
+}
+
+/// `records_digest` is pinned: `million-subs` prints it as
+/// `stream_digest`, so any change to its value changes a report.
+#[test]
+fn records_digest_golden_value() {
+    let records = golden_records();
+    assert_eq!(
+        format!("{:016x}", records_digest(&records)),
+        "a1cdaac0ed4d30e1"
+    );
+    assert_eq!(records_digest(&records), oracle_digest(&records));
+}
+
+/// Every single-byte flip and every truncation of one real sealed part
+/// is an `Err` from `read_part` — never a panic, never a wrong answer.
+#[test]
+fn every_flip_and_truncation_of_a_part_is_an_error() {
+    let dir = std::env::temp_dir().join("flowstore-prop-damage-all");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("case.fsp");
+    let bytes = part_bytes(1, 2, 3, &golden_records());
+    for i in 0..bytes.len() {
+        let mut bad = bytes.clone();
+        bad[i] ^= 0x5a;
+        std::fs::write(&path, &bad).unwrap();
+        assert!(read_part(&path).is_err(), "flip at {i}");
+        std::fs::write(&path, &bytes[..i]).unwrap();
+        assert!(read_part(&path).is_err(), "truncated to {i}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 proptest! {
     /// Varint codec: decode(encode(xs)) == xs over the full u64 domain.
     #[test]
@@ -130,6 +299,24 @@ proptest! {
         prop_assert_eq!(part_bytes(3, 9, 1, &records), part_bytes(3, 9, 1, &records));
     }
 
+    /// A writer reused across parts writes each exactly as a fresh one
+    /// would: nothing from one part leaks into the next.
+    #[test]
+    fn reused_writer_is_pure(
+        parts in proptest::collection::vec(
+            proptest::collection::vec(arb_narrow_record(), 0..80),
+            1..5,
+        ),
+    ) {
+        let mut writer = PartWriter::new();
+        for (seq, records) in parts.iter().enumerate() {
+            prop_assert_eq!(
+                writer.part_bytes(3, 9, seq as u32, records),
+                part_bytes(3, 9, seq as u32, records)
+            );
+        }
+    }
+
     /// Compacting K parts produces byte-identical output to writing the
     /// concatenated rows as one part directly.
     #[test]
@@ -153,6 +340,58 @@ proptest! {
             std::fs::read(&direct).unwrap()
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The streaming digest and the slice digest both equal the byte-wise
+    /// oracle for arbitrary records of every field width.
+    #[test]
+    fn digest_matches_bytewise_oracle(records in proptest::collection::vec(arb_narrow_record(), 0..40)) {
+        let mut sink = DigestSink::new();
+        sink.accept_batch(&records[..records.len() / 2]);
+        for r in &records[records.len() / 2..] {
+            sink.accept(r);
+        }
+        let expect = oracle_digest(&records);
+        prop_assert_eq!(records_digest(&records), expect);
+        prop_assert_eq!(sink.digest(), expect);
+        prop_assert_eq!(sink.count(), records.len() as u64);
+    }
+
+    /// Flipping any byte of a real sealed part (to any other value) or
+    /// truncating it anywhere makes `read_part` return `Err`; it never
+    /// panics or aborts. Half the cases repeat one source address so the
+    /// dictionary codec is exercised as well as plain bits.
+    #[test]
+    fn damaged_part_is_an_error(
+        records in proptest::collection::vec(arb_narrow_record(), 1..60),
+        at in any::<u64>(),
+        flip in 1u8..=255,
+        repeat_src in any::<bool>(),
+    ) {
+        let mut records = records;
+        if repeat_src {
+            let src = records[0].key.src;
+            for r in &mut records {
+                r.key.src = src;
+            }
+        }
+        let dir = std::env::temp_dir().join("flowstore-prop-damage");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("case.fsp");
+        let bytes = part_bytes(4, 5, 6, &records);
+        let at = (at % bytes.len() as u64) as usize;
+
+        let mut flipped = bytes.clone();
+        flipped[at] ^= flip;
+        std::fs::write(&path, &flipped).unwrap();
+        prop_assert!(read_part(&path).is_err(), "flip {:#x} at {}", flip, at);
+
+        std::fs::write(&path, &bytes[..at]).unwrap();
+        prop_assert!(read_part(&path).is_err(), "truncated to {}", at);
+
+        std::fs::write(&path, &bytes).unwrap();
+        prop_assert_eq!(read_part(&path).unwrap().1, records);
+        std::fs::remove_file(&path).ok();
     }
 
     /// Footer min/max matches the semantic min/max of the decoded values
