@@ -8,7 +8,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 fn bench_lpm(c: &mut Criterion) {
-    use iputil::trie::{Lpm4, Lpm6};
+    use iputil::{Lpm4, Lpm6};
     let mut rng = SmallRng::seed_from_u64(1);
     let mut table: Lpm4<u32> = Lpm4::new();
     for i in 0..50_000u32 {
@@ -27,18 +27,6 @@ fn bench_lpm(c: &mut Criterion) {
             let mut hits = 0;
             for &a in &addrs {
                 if table.longest_match(black_box(a)).is_some() {
-                    hits += 1;
-                }
-            }
-            hits
-        })
-    });
-    let frozen4 = table.freeze();
-    c.bench_function("lpm4_frozen_longest_match_50k_prefixes", |b| {
-        b.iter(|| {
-            let mut hits = 0;
-            for &a in &addrs {
-                if frozen4.longest_match(black_box(a)).is_some() {
                     hits += 1;
                 }
             }
@@ -85,18 +73,6 @@ fn bench_lpm(c: &mut Criterion) {
             hits
         })
     });
-    let frozen6 = table6.freeze();
-    c.bench_function("lpm6_frozen_longest_match_50k_prefixes", |b| {
-        b.iter(|| {
-            let mut hits = 0;
-            for &a in &addrs6 {
-                if frozen6.longest_match(black_box(a)).is_some() {
-                    hits += 1;
-                }
-            }
-            hits
-        })
-    });
 
     // Batched attribution workload: heavy duplication (every CDN edge
     // address is resolved by many FQDNs), answered through the memoized
@@ -111,21 +87,9 @@ fn bench_lpm(c: &mut Criterion) {
                 .count()
         })
     });
-    c.bench_function("lpm6_longest_match_loop_4k_dup_addrs", |b| {
-        b.iter(|| {
-            let mut hits = 0;
-            for &a in &batch {
-                if table6.longest_match(black_box(a)).is_some() {
-                    hits += 1;
-                }
-            }
-            hits
-        })
-    });
     // The regression risk the memo carries: a duplicate-*poor* batch
-    // (long-tail attribution) where every probe misses. The bypass must keep
-    // `_many` at loop speed for the trie and let the frozen engine's
-    // interleaved prefetch walks win outright.
+    // (long-tail attribution) where every probe misses. The bypass hands it
+    // to the engine's interleaved prefetch walks.
     let unique: Vec<std::net::Ipv6Addr> = (0..4_000)
         .map(|i| {
             let base = covered[(i * 13) % covered.len()];
@@ -136,24 +100,6 @@ fn bench_lpm(c: &mut Criterion) {
         b.iter(|| {
             table6
                 .longest_match_many(black_box(&unique))
-                .iter()
-                .filter(|r| r.is_some())
-                .count()
-        })
-    });
-    c.bench_function("lpm6_frozen_longest_match_many_4k_unique_addrs", |b| {
-        b.iter(|| {
-            frozen6
-                .longest_match_many(black_box(&unique))
-                .iter()
-                .filter(|r| r.is_some())
-                .count()
-        })
-    });
-    c.bench_function("lpm6_frozen_longest_match_many_4k_dup_addrs", |b| {
-        b.iter(|| {
-            frozen6
-                .longest_match_many(black_box(&batch))
                 .iter()
                 .filter(|r| r.is_some())
                 .count()

@@ -6,7 +6,7 @@
 //! 2. **AS → organization** from CAIDA's AS-to-Organization dataset (§5.1).
 //!
 //! This crate models both. The [`rib::Rib`] stores announced prefixes in
-//! longest-prefix-match tries (one per family) and answers `origin_of`
+//! longest-prefix-match tables (one per family) and answers `origin_of`
 //! queries; the [`registry::Registry`] stores AS metadata (name, category
 //! for Fig 4 grouping) and the AS→Org mapping — including the mapping's
 //! real-world warts the paper highlights: the same company split across

@@ -1,19 +1,18 @@
 //! The routing information base: announced prefixes → origin AS.
 
 use crate::registry::AsId;
-use iputil::multibit::{Frozen4, Frozen6};
 use iputil::prefix::{Prefix, Prefix4, Prefix6};
-use iputil::trie::{Lpm4, Lpm6};
+use iputil::{Lpm4, Lpm6};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 /// A dual-family RIB mapping announced prefixes to their origin AS.
 ///
-/// The radix tries are the mutable authority; [`Rib::compile`] freezes both
-/// families into flattened multibit engines (`iputil::multibit`) that answer
-/// the same queries faster. Any announce/withdraw invalidates the affected
-/// family's frozen engine — lookups silently fall back to the trie, so
-/// correctness never depends on recompiling (see the `iputil` crate docs'
-/// LPM architecture section).
+/// Each family is an [`iputil::LpmTable`]: a sorted prefix map that owns
+/// the announcements, answered by the frozen multibit engine
+/// (`iputil::multibit`). The engine is rebuilt lazily on the first lookup
+/// after an announce or withdraw, so lookups always see the current table
+/// (see the `iputil` crate docs' LPM architecture section). A `Rib` can be
+/// shared `&` across threads; concurrent first lookups build once.
 ///
 /// ```
 /// use bgpsim::{Rib, AsId};
@@ -21,16 +20,13 @@ use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 /// rib.announce("198.51.100.0/24".parse().unwrap(), AsId(64500));
 /// assert_eq!(rib.origin_of("198.51.100.7".parse().unwrap()), Some(AsId(64500)));
 /// assert_eq!(rib.origin_of("198.51.101.7".parse().unwrap()), None);
-/// rib.compile();
-/// assert!(rib.is_compiled());
-/// assert_eq!(rib.origin_of("198.51.100.7".parse().unwrap()), Some(AsId(64500)));
+/// rib.announce("198.51.100.0/25".parse().unwrap(), AsId(64501));
+/// assert_eq!(rib.origin_of("198.51.100.7".parse().unwrap()), Some(AsId(64501)));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Rib {
     v4: Lpm4<AsId>,
     v6: Lpm6<AsId>,
-    frozen4: Option<Frozen4<AsId>>,
-    frozen6: Option<Frozen6<AsId>>,
 }
 
 impl Rib {
@@ -42,7 +38,6 @@ impl Rib {
     /// Announce a prefix with an origin AS. Re-announcing an existing prefix
     /// replaces the origin (no path attributes are modelled — origin
     /// attribution is all the analyses need). Returns the previous origin.
-    /// Invalidates the family's frozen engine, if compiled.
     pub fn announce(&mut self, prefix: Prefix, origin: AsId) -> Option<AsId> {
         match prefix {
             Prefix::V4(p) => self.announce4(p, origin),
@@ -52,88 +47,25 @@ impl Rib {
 
     /// Announce an IPv4 prefix.
     pub fn announce4(&mut self, prefix: Prefix4, origin: AsId) -> Option<AsId> {
-        self.invalidate4();
         self.v4.insert(prefix, origin)
     }
 
     /// Announce an IPv6 prefix.
     pub fn announce6(&mut self, prefix: Prefix6, origin: AsId) -> Option<AsId> {
-        self.invalidate6();
         self.v6.insert(prefix, origin)
     }
 
-    /// Withdraw a prefix. Returns the origin that was removed. Invalidates
-    /// the family's frozen engine, if compiled.
+    /// Withdraw a prefix. Returns the origin that was removed.
     pub fn withdraw(&mut self, prefix: Prefix) -> Option<AsId> {
         match prefix {
-            Prefix::V4(p) => {
-                self.invalidate4();
-                self.v4.remove(p)
-            }
-            Prefix::V6(p) => {
-                self.invalidate6();
-                self.v6.remove(p)
-            }
+            Prefix::V4(p) => self.v4.remove(p),
+            Prefix::V6(p) => self.v6.remove(p),
         }
-    }
-
-    fn invalidate4(&mut self) {
-        if self.frozen4.take().is_some() {
-            obs::counter_add("lpm.frozen_invalidations", 1);
-        }
-    }
-
-    fn invalidate6(&mut self) {
-        if self.frozen6.take().is_some() {
-            obs::counter_add("lpm.frozen_invalidations", 1);
-        }
-    }
-
-    /// Compile both families into frozen multibit engines. Idempotent;
-    /// re-run after churn to regain the fast path (stale engines were
-    /// already dropped by the mutation itself). Records the compile as an
-    /// obs span plus footprint gauges — deterministic counters only, so
-    /// scenario digests stay byte-identical with the plane enabled.
-    pub fn compile(&mut self) {
-        let _span = obs::span!("lpm-compile");
-        let f4 = self.v4.freeze();
-        let f6 = self.v6.freeze();
-        obs::gauge_max(
-            "lpm.frozen_nodes",
-            (f4.node_count() + f6.node_count()) as u64,
-        );
-        obs::gauge_max(
-            "lpm.frozen_bytes",
-            (f4.heap_bytes() + f6.heap_bytes()) as u64,
-        );
-        self.frozen4 = Some(f4);
-        self.frozen6 = Some(f6);
-    }
-
-    /// Drop the frozen engines; every lookup walks the radix trie again
-    /// (the byte-identical slow path — the registry tests compare the two).
-    pub fn thaw(&mut self) {
-        self.frozen4 = None;
-        self.frozen6 = None;
-    }
-
-    /// True while both families hold a current frozen engine.
-    pub fn is_compiled(&self) -> bool {
-        self.frozen4.is_some() && self.frozen6.is_some()
     }
 
     /// Longest-prefix-match origin lookup for an address.
     pub fn origin_of(&self, addr: IpAddr) -> Option<AsId> {
-        match addr {
-            IpAddr::V4(a) => match &self.frozen4 {
-                Some(f) => f.longest_match(a).map(|(_, asn)| *asn),
-                None => self.v4.longest_match(a).map(|(_, asn)| *asn),
-            },
-            IpAddr::V6(a) => match &self.frozen6 {
-                Some(f) => f.longest_match(a).map(|(_, asn)| *asn),
-                None => self.v6.longest_match(a).map(|(_, asn)| *asn),
-            },
-        }
+        self.match_of(addr).map(|(_, asn)| asn)
     }
 
     /// Batched [`Rib::origin_of`] preserving input order.
@@ -141,8 +73,8 @@ impl Rib {
     /// Splits the batch by family and answers each through the LPM engine's
     /// memoized batch path, so duplicate addresses (shared CDN edges) are
     /// resolved once — the cloud-attribution pipeline routes entire crawl
-    /// epochs through this. On a compiled RIB the frozen engines resolve
-    /// duplicate-poor batches with interleaved prefetching walks.
+    /// epochs through this. Duplicate-poor batches resolve with interleaved
+    /// prefetching walks.
     pub fn origins_of(&self, addrs: &[IpAddr]) -> Vec<Option<AsId>> {
         let mut v4_addrs = Vec::new();
         let mut v6_addrs = Vec::new();
@@ -178,39 +110,33 @@ impl Rib {
     /// construction (the engines' value-only path), which is measurable at
     /// attribution scale.
     pub fn origins_of_v4(&self, addrs: &[Ipv4Addr]) -> Vec<Option<AsId>> {
-        let vals = match &self.frozen4 {
-            Some(f) => f.values_many(addrs),
-            None => self.v4.values_many(addrs),
-        };
-        vals.into_iter().map(|r| r.copied()).collect()
+        self.v4
+            .values_many(addrs)
+            .into_iter()
+            .map(|r| r.copied())
+            .collect()
     }
 
     /// Batched IPv6 origin lookup (see [`Rib::origins_of_v4`]).
     pub fn origins_of_v6(&self, addrs: &[Ipv6Addr]) -> Vec<Option<AsId>> {
-        let vals = match &self.frozen6 {
-            Some(f) => f.values_many(addrs),
-            None => self.v6.values_many(addrs),
-        };
-        vals.into_iter().map(|r| r.copied()).collect()
+        self.v6
+            .values_many(addrs)
+            .into_iter()
+            .map(|r| r.copied())
+            .collect()
     }
 
     /// The matched prefix and origin for an address, if covered.
     pub fn match_of(&self, addr: IpAddr) -> Option<(Prefix, AsId)> {
         match addr {
-            IpAddr::V4(a) => match &self.frozen4 {
-                Some(f) => f.longest_match(a).map(|(p, asn)| (Prefix::V4(p), *asn)),
-                None => self
-                    .v4
-                    .longest_match(a)
-                    .map(|(p, asn)| (Prefix::V4(p), *asn)),
-            },
-            IpAddr::V6(a) => match &self.frozen6 {
-                Some(f) => f.longest_match(a).map(|(p, asn)| (Prefix::V6(p), *asn)),
-                None => self
-                    .v6
-                    .longest_match(a)
-                    .map(|(p, asn)| (Prefix::V6(p), *asn)),
-            },
+            IpAddr::V4(a) => self
+                .v4
+                .longest_match(a)
+                .map(|(p, asn)| (Prefix::V4(p), *asn)),
+            IpAddr::V6(a) => self
+                .v6
+                .longest_match(a)
+                .map(|(p, asn)| (Prefix::V6(p), *asn)),
         }
     }
 
@@ -286,15 +212,13 @@ mod tests {
     }
 
     #[test]
-    fn compiled_answers_match_and_churn_falls_back() {
+    fn lookup_after_announce_or_withdraw_sees_the_change() {
         let mut rib = Rib::new();
         rib.announce("10.0.0.0/8".parse().unwrap(), AsId(1));
         rib.announce("10.99.0.0/16".parse().unwrap(), AsId(2));
         rib.announce("2001:db8::/32".parse().unwrap(), AsId(3));
-        let thawed = rib.clone();
-        rib.compile();
-        assert!(rib.is_compiled());
         let addrs: Vec<IpAddr> = [
+            "10.99.0.1",
             "10.99.1.1",
             "10.98.1.1",
             "192.0.2.1",
@@ -304,27 +228,61 @@ mod tests {
         .iter()
         .map(|s| s.parse().unwrap())
         .collect();
-        for &a in &addrs {
-            assert_eq!(rib.origin_of(a), thawed.origin_of(a), "{a}");
-            assert_eq!(rib.match_of(a), thawed.match_of(a), "{a}");
-        }
-        assert_eq!(rib.origins_of(&addrs), thawed.origins_of(&addrs));
-        // Churn on one family drops that engine; answers stay correct.
+        let origins = |rib: &Rib| -> Vec<Option<AsId>> {
+            let scalar: Vec<Option<AsId>> = addrs.iter().map(|&a| rib.origin_of(a)).collect();
+            assert_eq!(rib.origins_of(&addrs), scalar, "batched == scalar");
+            scalar
+        };
+        let (a1, a2, a3) = (Some(AsId(1)), Some(AsId(2)), Some(AsId(3)));
+        assert_eq!(origins(&rib), [a2, a2, a1, None, a3, None]);
+        // A more specific announcement after lookups is seen at once...
         rib.announce("10.99.0.0/24".parse().unwrap(), AsId(9));
-        assert!(!rib.is_compiled());
-        assert_eq!(
-            rib.origin_of("10.99.0.1".parse().unwrap()),
-            Some(AsId(9)),
-            "post-churn lookup must see the new announcement"
-        );
-        rib.compile();
-        assert_eq!(rib.origin_of("10.99.0.1".parse().unwrap()), Some(AsId(9)));
-        // Withdraw invalidates too, and thaw drops everything.
+        assert_eq!(origins(&rib), [Some(AsId(9)), a2, a1, None, a3, None]);
+        // ...as are withdrawals, in either family.
         rib.withdraw("10.99.0.0/24".parse().unwrap());
-        assert!(!rib.is_compiled());
-        rib.compile();
-        rib.thaw();
-        assert!(!rib.is_compiled());
-        assert_eq!(rib.origin_of("10.99.1.1".parse().unwrap()), Some(AsId(2)));
+        rib.withdraw("2001:db8::/32".parse().unwrap());
+        assert_eq!(origins(&rib), [a2, a2, a1, None, None, None]);
+    }
+
+    /// Fan-out workers share one `&Rib`: concurrent first lookups on a
+    /// freshly announced, never-queried RIB must all see the serial answer
+    /// (one lazy build wins, the rest wait for it).
+    #[test]
+    fn concurrent_first_lookups_match_serial() {
+        let mut rib = Rib::new();
+        for i in 0..64u32 {
+            let v4 = Prefix4::new(Ipv4Addr::from(0x0a00_0000 + (i << 16)), 16);
+            let v6 = Prefix6::new(
+                Ipv6Addr::from(0x2001_0db8u128 << 96 | (i as u128) << 80),
+                48,
+            );
+            rib.announce4(v4, AsId(i));
+            rib.announce6(v6, AsId(1000 + i));
+        }
+        let batch: Vec<IpAddr> = (0..512u32)
+            .map(|i| {
+                if i % 2 == 0 {
+                    IpAddr::V4(Ipv4Addr::from(0x0a00_0000 + i * 0x0001_0101))
+                } else {
+                    IpAddr::V6(Ipv6Addr::from(
+                        0x2001_0db8u128 << 96 | (i as u128 % 80) << 80 | i as u128,
+                    ))
+                }
+            })
+            .collect();
+        let serial = rib.clone().origins_of(&batch);
+        assert!(serial.iter().any(Option::is_some) && serial.iter().any(Option::is_none));
+        let answers: Vec<Vec<Option<AsId>>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| scope.spawn(|| rib.origins_of(&batch)))
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("worker"))
+                .collect()
+        });
+        for answer in answers {
+            assert_eq!(answer, serial);
+        }
     }
 }

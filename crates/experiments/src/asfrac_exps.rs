@@ -37,10 +37,6 @@ pub struct AsFractionsParams {
     pub flows_per_day: usize,
     /// Day-level worker threads (output is invariant to this).
     pub threads: usize,
-    /// Attribute through the compiled (frozen multibit) LPM engine. Output
-    /// is byte-identical either way; the registry's engine-on/off guard
-    /// flips this through [`RunConfig`](crate::RunConfig)`::compiled_lpm`.
-    pub compiled_lpm: bool,
     /// When set, tee the stream into sealed [`flowstore`] day-parts under
     /// `<dir>/as-fractions` and digest-verify the replay. The report is
     /// byte-identical either way.
@@ -69,7 +65,7 @@ pub struct AsFractionsReport {
 pub fn as_fractions_report(params: &AsFractionsParams) -> AsFractionsReport {
     // A routing-table-scale world: the web side stays tiny (the crawl is
     // irrelevant here), the RIB carries the tail.
-    let mut world = World::generate(
+    let world = World::generate(
         &WorldConfig {
             seed: params.seed,
             num_sites: 200,
@@ -77,9 +73,6 @@ pub fn as_fractions_report(params: &AsFractionsParams) -> AsFractionsReport {
         }
         .with_long_tail(params.ases),
     );
-    if !params.compiled_lpm {
-        world.rib.thaw();
-    }
     let cfg = LongTailTrafficConfig {
         seed: params.seed ^ 0x6173_6672_6163, // "asfrac"
         num_days: params.days,
@@ -145,10 +138,10 @@ fn as_fractions_report_for(params: &AsFractionsParams) -> Report {
     let t0 = std::time::Instant::now(); // tidy:allow(wall-clock): elapsed time feeds the obs::info diagnostic below, never the Report
     let report = as_fractions_report(params);
     obs::info!(
-        "[repro] streamed {} flows over {} tail ASes in {:.1}s (per-AS state: dense SymVec, O(ASes))",
+        "[repro] streamed {} flows over {} tail ASes in {} (per-AS state: dense SymVec, O(ASes))",
         report.flows,
         params.ases,
-        t0.elapsed().as_secs_f64()
+        crate::session::fmt_elapsed(t0.elapsed())
     );
     r.line(format!(
         "{} ASes observed, {} at or above the {:.2}% floor (inclusive)",
@@ -213,7 +206,6 @@ pub fn as_fractions(s: &mut Session) -> Report {
         days: s.config.days.min(30),
         flows_per_day: (ases * 10).clamp(20_000, 600_000),
         threads: s.config.threads.unwrap_or(1),
-        compiled_lpm: s.config.compiled_lpm,
         spill: s.config.spill.clone(),
     };
     as_fractions_report_for(&params)
@@ -228,7 +220,6 @@ pub fn as_fractions_export_report(s: &mut Session) -> Report {
         days: s.config.days.min(3),
         flows_per_day: 10_000,
         threads: s.config.threads.unwrap_or(1),
-        compiled_lpm: s.config.compiled_lpm,
         spill: s.config.spill.clone(),
     };
     as_fractions_report_for(&params)
@@ -245,7 +236,6 @@ mod tests {
             days: 3,
             flows_per_day: 5_000,
             threads,
-            compiled_lpm: true,
             spill: None,
         }
     }
@@ -255,11 +245,6 @@ mod tests {
         let a = as_fractions_json(&as_fractions_report(&params(1)));
         let b = as_fractions_json(&as_fractions_report(&params(4)));
         assert_eq!(a, b, "thread count must not change the exported table");
-        let thawed = as_fractions_json(&as_fractions_report(&AsFractionsParams {
-            compiled_lpm: false,
-            ..params(1)
-        }));
-        assert_eq!(a, thawed, "LPM engine choice must not change the table");
         assert!(a.contains("\"min_share\""));
         // A different seed produces a different dataset.
         let c = as_fractions_json(&as_fractions_report(&AsFractionsParams {

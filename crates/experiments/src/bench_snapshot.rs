@@ -4,9 +4,10 @@
 //! path must work in a plain `cargo build` binary) and **appends** one
 //! timestamped snapshot to each standing benchmark ledger:
 //!
-//! * `BENCH_lpm.json` — the IPv6 LPM attribution hot path: 1000 lookups
-//!   against a 50k-prefix table, and the memoized 4k-query duplicate-heavy
-//!   batch, mirroring `benches/micro.rs`.
+//! * `BENCH_lpm.json` — the LPM attribution hot path: 1000 scalar lookups
+//!   against a 50k-prefix table per family, and the batched entry point
+//!   over a duplicate-heavy and a duplicate-poor 4k-query IPv6 batch,
+//!   mirroring `benches/micro.rs`.
 //! * `BENCH_traffic.json` — pipeline throughput: whole-residence streaming
 //!   synthesis into aggregate sinks, per-AS attribution of 200k flows
 //!   over a 100k-AS long-tail RIB (mirroring `benches/traffic.rs`), and
@@ -70,12 +71,9 @@ const METHODOLOGY: &str = "warmup then calibrated iters/sample (criterion-shaped
 
 struct LpmProbe {
     lpm4_1k_ns: u64,
-    lpm4_frozen_1k_ns: u64,
     lpm6_1k_ns: u64,
-    lpm6_frozen_1k_ns: u64,
     batch_4k_dup_ns: u64,
     batch_4k_unique_ns: u64,
-    frozen_batch_4k_unique_ns: u64,
     samples: usize,
 }
 
@@ -86,20 +84,14 @@ impl LpmProbe {
              \"methodology\": \"{METHODOLOGY}\",\n      \
              \"samples\": {},\n      \
              \"lpm4_longest_match_50k_prefixes_ns\": {},\n      \
-             \"lpm4_frozen_longest_match_50k_prefixes_ns\": {},\n      \
              \"lpm6_longest_match_50k_prefixes_ns\": {},\n      \
-             \"lpm6_frozen_longest_match_50k_prefixes_ns\": {},\n      \
              \"lpm6_longest_match_many_4k_dup_addrs_ns\": {},\n      \
-             \"lpm6_longest_match_many_4k_unique_addrs_ns\": {},\n      \
-             \"lpm6_frozen_longest_match_many_4k_unique_addrs_ns\": {}\n    }}",
+             \"lpm6_longest_match_many_4k_unique_addrs_ns\": {}\n    }}",
             self.samples,
             self.lpm4_1k_ns,
-            self.lpm4_frozen_1k_ns,
             self.lpm6_1k_ns,
-            self.lpm6_frozen_1k_ns,
             self.batch_4k_dup_ns,
-            self.batch_4k_unique_ns,
-            self.frozen_batch_4k_unique_ns
+            self.batch_4k_unique_ns
         )
     }
 }
@@ -107,7 +99,6 @@ impl LpmProbe {
 struct TrafficProbe {
     synth_residence_5d_ns: u64,
     per_as_agg_200k_ns: u64,
-    per_as_agg_200k_frozen_ns: u64,
     spill_write_200k_ns: u64,
     spill_replay_200k_ns: u64,
     samples: usize,
@@ -120,7 +111,6 @@ impl TrafficProbe {
              \"methodology\": \"{METHODOLOGY}\",\n      \
              \"samples\": {},\n      \"results\": [\n        \
              {{ \"name\": \"synthesize_residence_5d_aggregate_sinks\", \"median_ns\": {} }},\n        \
-             {{ \"name\": \"per_as_agg_200k_flows_100k_ases_interned_symvec\", \"median_ns\": {} }},\n        \
              {{ \"name\": \"per_as_agg_200k_flows_100k_ases_frozen_multibit\", \"median_ns\": {} }},\n        \
              {{ \"name\": \"flowstore_spill_200k_flows_columnar_day_parts\", \"median_ns\": {} }},\n        \
              {{ \"name\": \"flowstore_replay_200k_flows_digest_sink\", \"median_ns\": {} }}\n      \
@@ -128,7 +118,6 @@ impl TrafficProbe {
             self.samples,
             self.synth_residence_5d_ns,
             self.per_as_agg_200k_ns,
-            self.per_as_agg_200k_frozen_ns,
             self.spill_write_200k_ns,
             self.spill_replay_200k_ns
         )
@@ -175,12 +164,12 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 /// The attribution hot path, mirroring `benches/micro.rs`: 50k routed-table-
-/// shaped prefixes for each family, 1000 half-covered lookup addresses
-/// (scalar, trie and frozen), and the memoized batch entry point over a
-/// duplicate-heavy and a duplicate-poor (unique) 4k batch.
+/// shaped prefixes for each family, 1000 half-covered scalar lookups, and
+/// the memoized batch entry point over a duplicate-heavy and a
+/// duplicate-poor (unique) 4k batch.
 fn lpm_probe() -> LpmProbe {
     use iputil::prefix::{Prefix4, Prefix6};
-    use iputil::trie::{Lpm4, Lpm6};
+    use iputil::{Lpm4, Lpm6};
     use std::net::Ipv4Addr;
     let samples = 15;
     // IPv4: uniform-random prefixes /8..=/24 (the micro.rs shape).
@@ -194,20 +183,10 @@ fn lpm_probe() -> LpmProbe {
     let addrs4: Vec<Ipv4Addr> = (0..1_000)
         .map(|_| Ipv4Addr::from(splitmix64(&mut rng) as u32))
         .collect();
-    let frozen4 = table4.freeze();
     let lpm4_1k_ns = median_ns(samples, 300, 20, || {
         let mut hits = 0usize;
         for &a in &addrs4 {
             if table4.longest_match(a).is_some() {
-                hits += 1;
-            }
-        }
-        std::hint::black_box(hits);
-    });
-    let lpm4_frozen_1k_ns = median_ns(samples, 300, 20, || {
-        let mut hits = 0usize;
-        for &a in &addrs4 {
-            if frozen4.longest_match(a).is_some() {
                 hits += 1;
             }
         }
@@ -246,20 +225,10 @@ fn lpm_probe() -> LpmProbe {
             Ipv6Addr::from(base | (splitmix64(&mut rng) as u128 & 0xffff_ffff_ffff_ffff))
         })
         .collect();
-    let frozen6 = table.freeze();
     let lpm6_1k_ns = median_ns(samples, 300, 20, || {
         let mut hits = 0usize;
         for &a in &addrs {
             if table.longest_match(a).is_some() {
-                hits += 1;
-            }
-        }
-        std::hint::black_box(hits);
-    });
-    let lpm6_frozen_1k_ns = median_ns(samples, 300, 20, || {
-        let mut hits = 0usize;
-        for &a in &addrs {
-            if frozen6.longest_match(a).is_some() {
                 hits += 1;
             }
         }
@@ -271,17 +240,11 @@ fn lpm_probe() -> LpmProbe {
     let batch_4k_unique_ns = median_ns(samples, 300, 20, || {
         std::hint::black_box(table.longest_match_many(&unique).len());
     });
-    let frozen_batch_4k_unique_ns = median_ns(samples, 300, 20, || {
-        std::hint::black_box(frozen6.longest_match_many(&unique).len());
-    });
     LpmProbe {
         lpm4_1k_ns,
-        lpm4_frozen_1k_ns,
         lpm6_1k_ns,
-        lpm6_frozen_1k_ns,
         batch_4k_dup_ns,
         batch_4k_unique_ns,
-        frozen_batch_4k_unique_ns,
         samples,
     }
 }
@@ -308,15 +271,13 @@ fn traffic_probe() -> TrafficProbe {
         synthesize_residence_into(&world, profile.clone(), &cfg, 0, &mut sink);
         std::hint::black_box(sink.0.overall(Scope::External).total_flows());
     });
-    let mut tail_world = World::generate(
+    let tail_world = World::generate(
         &WorldConfig {
             num_sites: 200,
             ..WorldConfig::small()
         }
         .with_long_tail(100_000),
     );
-    let compiled_rib = tail_world.rib.clone();
-    tail_world.rib.thaw();
     let mut sink = CollectSink::new();
     synthesize_long_tail_into(
         &tail_world,
@@ -331,13 +292,6 @@ fn traffic_probe() -> TrafficProbe {
     let records = sink.into_records();
     let per_as_agg_200k_ns = median_ns(5, 200, 60, || {
         let mut agg = AsAgg::new(&tail_world.rib, &tail_world.registry);
-        for r in &records {
-            agg.accept(r);
-        }
-        std::hint::black_box((agg.observed_as_count(), agg.total_bytes()));
-    });
-    let per_as_agg_200k_frozen_ns = median_ns(5, 200, 60, || {
-        let mut agg = AsAgg::new(&compiled_rib, &tail_world.registry);
         for chunk in records.chunks(8_192) {
             agg.accept_batch(chunk);
         }
@@ -374,7 +328,6 @@ fn traffic_probe() -> TrafficProbe {
     TrafficProbe {
         synth_residence_5d_ns,
         per_as_agg_200k_ns,
-        per_as_agg_200k_frozen_ns,
         spill_write_200k_ns,
         spill_replay_200k_ns,
         samples,
@@ -624,18 +577,14 @@ mod tests {
     fn real_ledgers_accept_the_rendered_snapshots() {
         let lpm = LpmProbe {
             lpm4_1k_ns: 7_000,
-            lpm4_frozen_1k_ns: 6_000,
             lpm6_1k_ns: 16_000,
-            lpm6_frozen_1k_ns: 11_000,
             batch_4k_dup_ns: 24_000,
-            batch_4k_unique_ns: 107_000,
-            frozen_batch_4k_unique_ns: 76_000,
+            batch_4k_unique_ns: 76_000,
             samples: 15,
         };
         let traffic = TrafficProbe {
             synth_residence_5d_ns: 800_000,
-            per_as_agg_200k_ns: 59_000_000,
-            per_as_agg_200k_frozen_ns: 12_000_000,
+            per_as_agg_200k_ns: 12_000_000,
             spill_write_200k_ns: 30_000_000,
             spill_replay_200k_ns: 20_000_000,
             samples: 9,

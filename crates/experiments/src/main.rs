@@ -77,13 +77,6 @@ fn main() {
                 no_value("--metrics-json");
                 metrics_json = true;
             }
-            // Differential escape hatch: run on the radix trie instead of
-            // the compiled multibit engine. Output must be byte-identical —
-            // this flag exists so that claim stays checkable from the CLI.
-            "--no-compiled-lpm" => {
-                no_value("--no-compiled-lpm");
-                config.compiled_lpm = false;
-            }
             "--check" => {
                 no_value("--check");
                 bench_check = true;
@@ -235,7 +228,7 @@ fn usage(msg: &str) -> ! {
     obs::error!(
         "usage: repro <scenario> [--sites N] [--seed S] [--days D] [--full] [--json]\n\
          \x20                    [--threads N] [--day-threads N] [--metrics] [--metrics-json]\n\
-         \x20                    [--no-compiled-lpm] [--spill DIR]\n\
+         \x20                    [--spill DIR]\n\
          \x20      repro list | all | export | bench-snapshot [--check]\n\
          `repro list` prints every registered scenario; `all` runs them in\n\
          paper order; `export` writes the JSON datasets; `bench-snapshot`\n\
@@ -246,13 +239,11 @@ fn usage(msg: &str) -> ! {
          residence; output is identical at any combination. --json emits the\n\
          structured report. --metrics appends a telemetry section (stage\n\
          spans, pipeline counters, flow-shape histograms); --metrics-json\n\
-         prints only the raw metrics snapshot as JSON. --no-compiled-lpm\n\
-         runs RIB lookups on the radix trie instead of the compiled multibit\n\
-         engine (output is byte-identical; differential debugging only).\n\
-         --spill DIR streams flow records through sorted columnar day-parts\n\
-         under DIR instead of memory; replays are digest-verified and\n\
-         reports stay byte-identical. REPRO_LOG=off|error|\n\
-         warn|info|debug|trace filters progress diagnostics on stderr."
+         prints only the raw metrics snapshot as JSON. --spill DIR streams\n\
+         flow records through sorted columnar day-parts under DIR instead of\n\
+         memory; replays are digest-verified and reports stay byte-identical.\n\
+         REPRO_LOG=off|error|warn|info|debug|trace filters progress\n\
+         diagnostics on stderr."
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }

@@ -259,11 +259,11 @@ fn million_subs_report_for(params: &MillionSubsParams) -> Report {
     let t0 = std::time::Instant::now(); // tidy:allow(wall-clock): elapsed time feeds the obs::info diagnostic below, never the Report
     let report = million_subs_report(params);
     obs::info!(
-        "[repro] streamed {} flows from {} subscribers over {} days in {:.1}s{}",
+        "[repro] streamed {} flows from {} subscribers over {} days in {}{}",
         report.flows,
         report.subscribers,
         report.days,
-        t0.elapsed().as_secs_f64(),
+        crate::session::fmt_elapsed(t0.elapsed()),
         if params.spill.is_some() {
             " (spilled through columnar day-parts)"
         } else {

@@ -57,12 +57,6 @@ pub struct RunConfig {
     /// default; when on, [`Session::new`] resets and enables the global
     /// plane so [`Session::metrics`] returns this session's activity.
     pub metrics: bool,
-    /// Use the compiled (frozen multibit) LPM engine for RIB lookups. On by
-    /// default; turning it off thaws every world back to the radix trie.
-    /// Output is byte-identical either way — the registry tests assert it —
-    /// so this exists for differential testing and perf comparison, not
-    /// correctness.
-    pub compiled_lpm: bool,
     /// Spill directory for flow streams (`--spill DIR`). When set, the
     /// flow-producing passes write sorted columnar day-parts
     /// ([`flowstore`]) instead of holding records, and every replay is
@@ -84,7 +78,6 @@ impl Default for RunConfig {
             day_threads: None,
             faults: FaultPlan::default(),
             metrics: false,
-            compiled_lpm: true,
             spill: None,
         }
     }
@@ -135,14 +128,6 @@ impl RunConfig {
         self
     }
 
-    /// Toggle the compiled (frozen multibit) LPM engine for this session's
-    /// worlds. Scenario output stays byte-identical — only lookup speed
-    /// changes.
-    pub fn compiled_lpm(mut self, on: bool) -> RunConfig {
-        self.compiled_lpm = on;
-        self
-    }
-
     /// Spill flow streams to sorted columnar day-parts under `dir`. Every
     /// replay is digest-verified against the live stream and scenario
     /// output stays byte-identical to in-memory runs.
@@ -155,6 +140,17 @@ impl RunConfig {
     pub fn full(mut self) -> RunConfig {
         self.sites = 100_000;
         self
+    }
+}
+
+/// Format a stage's elapsed time for a stderr progress line: whole
+/// milliseconds below one second (`85ms`), tenths of a second above
+/// (`2.4s`), so a fast stage never reads `0.0s`.
+pub(crate) fn fmt_elapsed(elapsed: std::time::Duration) -> String {
+    if elapsed.as_secs() == 0 {
+        format!("{}ms", elapsed.as_millis())
+    } else {
+        format!("{:.1}s", elapsed.as_secs_f64())
     }
 }
 
@@ -208,18 +204,13 @@ impl Session {
             subscribers: 0,
             calibration: worldgen::Calibration::default(),
         };
-        let mut world = {
+        let world = {
             let _span = obs::span!("world-gen");
             World::generate(&world_config)
         };
-        if !config.compiled_lpm {
-            // Differential mode: drop the frozen engines worldgen compiled,
-            // forcing every lookup back through the radix authority.
-            world.rib.thaw();
-        }
         obs::info!(
-            "[repro] world ready in {:.1}s ({} third-party domains, {} zone names in Jul 2025)",
-            t0.elapsed().as_secs_f64(),
+            "[repro] world ready in {} ({} third-party domains, {} zone names in Jul 2025)",
+            fmt_elapsed(t0.elapsed()),
             world.web.third_parties.len(),
             world.zone(world.latest_epoch()).name_count(),
         );
@@ -267,7 +258,7 @@ impl Session {
             let _span = obs::span!("crawl", epoch = epoch);
             let report = crawl_epoch(&self.world, epoch, &CrawlConfig::default());
             drop(_span);
-            obs::info!("[repro] crawl done in {:.1}s", t0.elapsed().as_secs_f64());
+            obs::info!("[repro] crawl done in {}", fmt_elapsed(t0.elapsed()));
             self.crawls[epoch] = Some(report);
         }
         self.crawls[epoch].as_ref().expect("just filled")
@@ -327,8 +318,8 @@ impl Session {
             drop(_span);
             let flows: usize = ds.iter().map(|d| d.flows.len()).sum();
             obs::info!(
-                "[repro] traffic done in {:.1}s ({flows} sampled flow records)",
-                t0.elapsed().as_secs_f64()
+                "[repro] traffic done in {} ({flows} sampled flow records)",
+                fmt_elapsed(t0.elapsed())
             );
             self.traffic = Some(ds);
         }
@@ -422,8 +413,8 @@ impl Session {
             let domains = domain_fractions_from(&domain_aggs, 10_000, 3);
             drop(_span);
             obs::info!(
-                "[repro] streaming pass done in {:.1}s",
-                t0.elapsed().as_secs_f64()
+                "[repro] streaming pass done in {}",
+                fmt_elapsed(t0.elapsed())
             );
             self.streamed = Some(StreamedClient {
                 analyses,
@@ -491,5 +482,20 @@ impl Session {
     /// (and therefore counted) once.
     pub fn metrics(&self) -> obs::MetricsReport {
         obs::snapshot()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::fmt_elapsed;
+    use std::time::Duration;
+
+    #[test]
+    fn progress_times_print_milliseconds_below_one_second() {
+        assert_eq!(fmt_elapsed(Duration::from_micros(400)), "0ms");
+        assert_eq!(fmt_elapsed(Duration::from_millis(85)), "85ms");
+        assert_eq!(fmt_elapsed(Duration::from_millis(999)), "999ms");
+        assert_eq!(fmt_elapsed(Duration::from_millis(1_000)), "1.0s");
+        assert_eq!(fmt_elapsed(Duration::from_millis(2_440)), "2.4s");
     }
 }

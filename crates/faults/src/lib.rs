@@ -193,7 +193,7 @@ pub enum FaultKind {
     },
     /// RIB churn: each covered day contributes a batch of synthetic
     /// announcements plus withdrawals of the previous day's batch,
-    /// exercising trie insert/remove/merge at scale.
+    /// exercising the RIB's announce/withdraw path at scale.
     RibChurn {
         /// Prefixes announced per covered day.
         announcements_per_day: u32,

@@ -4,9 +4,8 @@ use crate::flow::{FlowKey, FlowRecord, Scope};
 use crate::table::FlowTable;
 use crate::xlat::{Translation, TranslationMap};
 use crate::Timestamp;
-use iputil::multibit::{Frozen4, Frozen6};
 use iputil::prefix::{Prefix4, Prefix6};
-use iputil::trie::{Lpm4, Lpm6};
+use iputil::{Lpm4, Lpm6};
 use std::net::IpAddr;
 
 /// A residence router running the flow monitor.
@@ -16,16 +15,14 @@ use std::net::IpAddr;
 /// [`Scope::Internal`] when *both* endpoints are inside the LAN, otherwise
 /// [`Scope::External`] — the exact split reported per-residence in Table 1.
 ///
-/// Scoping runs once per injected flow, so the LAN sets are frozen at
-/// construction into the immutable multibit engine (`iputil::multibit`) —
-/// they never change over a monitor's lifetime, which is exactly the
-/// read-only contract the frozen engine is built for. A handful of LAN
-/// prefixes freezes to the linear-scan representation: no `2^16` root
-/// tables per residence.
+/// Scoping runs once per injected flow against LAN sets that never change
+/// over a monitor's lifetime, so the tables build their lookup engine once,
+/// on the first flow. A handful of LAN prefixes builds to the linear-scan
+/// representation: no `2^16` root tables per residence.
 #[derive(Debug, Clone)]
 pub struct RouterMonitor {
-    lan4: Frozen4<()>,
-    lan6: Frozen6<()>,
+    lan4: Lpm4<()>,
+    lan6: Lpm6<()>,
     xlat: TranslationMap,
     table: FlowTable,
 }
@@ -42,8 +39,8 @@ impl RouterMonitor {
             lan6_lpm.insert(p, ());
         }
         RouterMonitor {
-            lan4: lan4_lpm.freeze(),
-            lan6: lan6_lpm.freeze(),
+            lan4: lan4_lpm,
+            lan6: lan6_lpm,
             xlat: TranslationMap::new(),
             table: FlowTable::new(),
         }

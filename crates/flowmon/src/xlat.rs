@@ -11,7 +11,7 @@
 
 use crate::flow::{FlowKey, Scope};
 use iputil::prefix::Prefix6;
-use iputil::trie::Lpm6;
+use iputil::Lpm6;
 use serde::Serialize;
 use std::net::IpAddr;
 

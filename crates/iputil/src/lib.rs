@@ -5,11 +5,10 @@
 //!
 //! * [`prefix`] — CIDR prefixes for IPv4 and IPv6 with canonicalization,
 //!   parsing, containment tests and supernet/subnet arithmetic.
-//! * [`trie`] — path-compressed radix tries with longest-prefix-match
-//!   lookup, the *mutable authority* behind the BGP RIB (`bgpsim`).
-//! * [`multibit`] — the *frozen* LPM engine: a flattened Poptrie/DXR-style
-//!   multibit table compiled from a trie, for read-mostly lookup at
-//!   attribution scale.
+//! * [`trie`] — longest-prefix-match tables ([`Lpm4`]/[`Lpm6`]) behind the
+//!   BGP RIB (`bgpsim`), cloud attribution and the residence router.
+//! * [`multibit`] — the flattened Poptrie/DXR-style multibit trie that
+//!   answers every LPM lookup.
 //! * [`hash`] — a self-contained SipHash-2-4 implementation (keyed PRF) used
 //!   by the anonymizer; validated against the reference vectors from the
 //!   SipHash paper.
@@ -26,37 +25,34 @@
 //!
 //! Everything here is deterministic: no ambient randomness, no system time.
 //!
-//! # LPM architecture: radix authority, frozen multibit engine
+//! # LPM architecture: sorted-map authority, lazily rebuilt frozen engine
 //!
 //! The suite performs longest-prefix-match at two very different rhythms —
 //! RIB churn (announce/withdraw from the faults plane) and attribution
 //! (hundreds of thousands of lookups against a table that is *not*
-//! changing). Two engines split the work:
+//! changing). One engine serves both ([`LpmTable`], used as
+//! [`Lpm4`]/[`Lpm6`]):
 //!
-//! * The **radix trie** ([`Lpm4`]/[`Lpm6`]/[`LpmTrie`]) is the mutable
-//!   authority: every insert/remove happens here, merge-on-remove keeps its
-//!   shape canonical, and it always answers lookups correctly on its own.
-//! * The **frozen multibit engine** ([`Frozen4`]/[`Frozen6`]/[`FrozenLpm`])
-//!   is compiled from the trie by [`Lpm4::freeze`]/[`Lpm6::freeze`]: a
-//!   DIR-24-8-style direct root table over the first 16 bits plus stride-6
-//!   popcount-compressed node arrays with leaf-pushed results (see
-//!   [`multibit`] for the layout). It answers byte-identically to the trie
-//!   at freeze time — the differential property tests assert it — but with
-//!   cache-dense arrays instead of pointer chasing.
+//! * **Authority.** A plain sorted map (`BTreeMap<(key, plen), V>`) owns the
+//!   prefix set. Every insert/remove is a map operation.
+//! * **Lookups.** Every lookup — scalar, batched, value-only — is answered
+//!   by a frozen multibit trie: a DIR-24-8-style direct root table over the
+//!   first 16 bits plus stride-6 popcount-compressed node arrays with
+//!   leaf-pushed results (see [`multibit`] for the layout). It lives in a
+//!   `OnceLock`, is built from the map's already-sorted entries on the
+//!   first lookup after a change, and is dropped by every mutation. There
+//!   is no second engine and no fallback: a lookup after churn simply pays
+//!   one rebuild.
 //!
-//! *When compile happens:* `bgpsim::Rib::compile` freezes both families
-//! after the world generator finishes announcing (worldgen does this
-//! automatically); holders of long-lived static tables (e.g. the residence
-//! router's LAN sets) freeze once at construction.
+//! *Rebuild cost:* a full build takes ~7 ms for a RIB with 20k long-tail
+//! ASes and ~37 ms at 100k (~54k nodes, ~5.6 MB), so a RIB that churns and
+//! is then queried in bulk rebuilds once per settled state. Tables of at
+//! most [`multibit::SMALL_MAX`] entries (a residence router's LAN and
+//! NAT64 sets) build to a linear scan and never allocate the root table.
 //!
-//! *Churn and fallback:* mutating a compiled `Rib` drops the stale frozen
-//! engines and falls back to the trie — correctness never depends on a
-//! recompile. Callers that churn then query in bulk (the faults plane's RIB
-//! churn scenarios) may recompile once the table settles.
-//!
-//! *Memo interaction:* both engines' `longest_match_many` keep a
+//! *Memo interaction:* `longest_match_many` and `values_many` keep a
 //! direct-mapped duplicate memo in front; a deterministic probe-window
-//! check makes it bypass itself on duplicate-poor batches, where the frozen
+//! check makes it bypass itself on duplicate-poor batches, where the
 //! engine's interleaved prefetching walker takes over
 //! ([`multibit::MEMO_BYPASS`]).
 
@@ -77,10 +73,9 @@ pub mod trie;
 pub use alloc::{HostAllocator4, HostAllocator6, SubnetAllocator4, SubnetAllocator6};
 pub use anon::{Anonymizer, AnonymizerConfig};
 pub use hash::SipHasher24;
-pub use multibit::{Frozen4, Frozen6, FrozenLpm};
 pub use prefix::{ParsePrefixError, Prefix, Prefix4, Prefix6};
 pub use sym::{Sym, SymVec, SymbolTable};
-pub use trie::{Bits, Lpm4, Lpm6, LpmTrie};
+pub use trie::{Bits, Lpm4, Lpm6, LpmTable};
 
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 

@@ -1,20 +1,20 @@
-//! Frozen flattened multibit LPM engine (Poptrie/DXR-style), compiled from
-//! an [`LpmTrie`].
+//! The frozen flattened multibit LPM engine (Poptrie/DXR-style) that
+//! answers every [`LpmTable`](crate::LpmTable) lookup.
 //!
 //! # Layout
 //!
-//! The radix trie stays the *mutable authority*; [`FrozenLpm::from_trie`]
-//! (or [`Lpm4::freeze`](crate::Lpm4::freeze)/[`Lpm6::freeze`](crate::Lpm6::freeze)) compiles an
+//! The table's sorted prefix map stays the *mutable authority*;
+//! `FrozenLpm` is built from its entries (in `(key, plen)` order) into an
 //! immutable lookup structure optimised for exactly one thing: resolving
-//! addresses against a table that is not changing.
+//! addresses against a table that is not changing. The table rebuilds it
+//! lazily on the first lookup after a mutation.
 //!
 //! * **Direct root table** — the first [`Bits::ROOT_BITS`] (16) address bits
 //!   index a `2^16`-entry array whose slots hold either a final result id or
 //!   a tagged multibit-node index. Prefixes shorter than the root stride are
 //!   *leaf-pushed*: painted over every slot they cover, deepest-wins, so a
-//!   root hit already carries the correct fallback (the DIR-24-8 trick the
-//!   trie's `short_best` table performs at lookup time, done once at
-//!   compile time instead).
+//!   root hit already carries the correct fallback (the DIR-24-8 trick,
+//!   done once at build time).
 //! * **Stride-6 popcount nodes** — below the root, each node consumes the
 //!   next 6 address bits. A node is two `u64` bitmaps plus two base indices:
 //!   `vector` marks which of the 64 chunks continue into a child node, and
@@ -35,18 +35,25 @@
 //! lookup is a short loop of `bitmap → popcount-rank → array index` steps
 //! over three dense arrays, never backtracking and never chasing per-prefix
 //! heap nodes. A lone IPv6 /48 resolves in 1 root load + 1 uniform node +
-//! 1 result row — the same dependent-load count as the radix trie — while
-//! dense subtrees (a routing table's sequential allocations) resolve in
-//! stride-6 hops over arrays small enough to stay cache-hot; a 100k-prefix
-//! RIB flattens to a few MB of contiguous memory.
+//! 1 result row, while dense subtrees (a routing table's sequential
+//! allocations) resolve in stride-6 hops over arrays small enough to stay
+//! cache-hot; a 100k-prefix RIB flattens to a few MB of contiguous memory.
 //!
-//! Tables small enough for the trie's linear-scan mode (≤ a dozen entries —
-//! a residence router's LAN set) freeze to a sorted linear scan and never
-//! allocate the root table.
+//! Tables of at most [`SMALL_MAX`] entries (a residence router's LAN set,
+//! a NAT64 prefix) build to a sorted linear scan and never allocate the
+//! root table.
+//!
+//! # Telemetry
+//!
+//! Every build bumps the `lpm.rebuilds` counter. Builds that produce the
+//! root-table representation (in practice: the RIB) also record a
+//! top-level `lpm-compile` span and raise the `lpm.frozen_nodes` and
+//! `lpm.frozen_bytes` gauges to their per-table high-water marks, so the
+//! many small per-day LAN and NAT64 tables add no spans.
 //!
 //! # Batched lookups, prefetch, and the memo
 //!
-//! [`FrozenLpm::longest_match_many`] keeps the direct-mapped duplicate memo
+//! `FrozenLpm::longest_match_many` keeps the direct-mapped duplicate memo
 //! in front (hot CDN addresses resolved by thousands of FQDNs cost one
 //! walk), but the memo now *bypasses itself* when a probe window over the
 //! head of the batch observes a hit rate below [`MEMO_BYPASS`]'s threshold —
@@ -59,27 +66,28 @@
 //! batches (long-tail attribution), which the memo alone used to tax.
 //!
 //! ```
-//! use iputil::{Lpm4, Prefix4};
+//! use iputil::Lpm4;
 //! let mut rib: Lpm4<&str> = Lpm4::new();
 //! rib.insert("10.0.0.0/8".parse().unwrap(), "ten");
 //! rib.insert("10.9.0.0/16".parse().unwrap(), "ten-nine");
-//! let frozen = rib.freeze();
-//! let (p, v) = frozen.longest_match("10.9.4.4".parse().unwrap()).unwrap();
+//! // Scalar and batched lookups run on the same frozen build.
+//! let addrs: Vec<std::net::Ipv4Addr> = vec!["10.9.4.4".parse().unwrap(); 3];
+//! let (p, v) = rib.longest_match(addrs[0]).unwrap();
 //! assert_eq!((p.to_string().as_str(), *v), ("10.9.0.0/16", "ten-nine"));
-//! // The authority and the frozen engine answer identically, batched too.
-//! let addrs: Vec<std::net::Ipv4Addr> = vec!["10.1.2.3".parse().unwrap()];
-//! assert_eq!(
-//!     frozen.longest_match_many(&addrs)[0].map(|(p, &v)| (p, v)),
-//!     rib.longest_match_many(&addrs)[0].map(|(p, &v)| (p, v)),
-//! );
+//! assert!(rib.longest_match_many(&addrs).iter().all(|r| r == &Some((p, v))));
+//! assert_eq!(rib.values_many(&addrs), vec![Some(&"ten-nine"); 3]);
 //! ```
 
-use crate::prefix::{Prefix4, Prefix6};
-use crate::trie::{Bits, LpmTrie};
-use std::net::{Ipv4Addr, Ipv6Addr};
+use crate::trie::Bits;
+use std::collections::BTreeMap;
 
 /// Bits consumed per multibit node below the root table.
 const STRIDE: u8 = 6;
+
+/// Entry count up to which a table builds to a linear scan: a handful of
+/// compares beats a root-table load at these sizes, and the `2^ROOT_BITS`
+/// root array is never allocated.
+pub const SMALL_MAX: usize = 12;
 
 /// "No result" marker: an untagged entry equal to this means no covering
 /// prefix exists. Tables are limited to `2^31 - 1` results/nodes (a full
@@ -139,8 +147,8 @@ struct MbNode {
 
 #[derive(Debug, Clone)]
 enum Repr<K> {
-    /// Sorted `(key, plen, result id)` linear scan — tables that fit the
-    /// trie's small-table mode never pay for the root array.
+    /// Sorted `(key, plen, result id)` linear scan — tables of at most
+    /// [`SMALL_MAX`] entries never pay for the root array.
     Small(Vec<(K, u8, u32)>),
     Table {
         /// `2^ROOT_BITS` entries: result id, or `NODE_TAG | node index`.
@@ -151,56 +159,56 @@ enum Repr<K> {
     },
 }
 
-/// An immutable, flattened multibit LPM table compiled from an [`LpmTrie`].
-///
-/// Answers exactly what the source trie answered at freeze time (the
-/// differential property tests assert byte-identical results); mutation
-/// happens on the trie, followed by a fresh [`FrozenLpm::from_trie`].
+/// An immutable, flattened multibit LPM table built from a sorted prefix
+/// map. Mutation happens on the map, followed by a fresh build.
 #[derive(Debug, Clone)]
-pub struct FrozenLpm<K: Bits, V> {
+pub(crate) struct FrozenLpm<K: Bits, V> {
     repr: Repr<K>,
     /// `(plen, value)` per stored prefix, indexed by result id.
     results: Vec<(u8, V)>,
 }
 
 impl<K: Bits, V: Clone> FrozenLpm<K, V> {
-    /// Compile the trie's current contents into the flattened layout.
-    /// Cost is O(prefixes · WIDTH/STRIDE) plus the `2^ROOT_BITS` root
-    /// array; the trie is untouched.
-    pub fn from_trie(trie: &LpmTrie<K, V>) -> FrozenLpm<K, V> {
-        let mut results: Vec<(u8, V)> = Vec::with_capacity(trie.len());
-        let mut entries: Vec<(K, u8, u32)> = Vec::with_capacity(trie.len());
-        trie.for_each(|key, plen, value| {
-            let id = results.len() as u32;
-            assert!(id < RES_NONE, "FrozenLpm supports < 2^31 - 1 prefixes");
-            results.push((plen, value.clone()));
-            entries.push((key, plen, id));
-        });
-        // `for_each` visits in (key, plen) order — the builder relies on it
+    /// Build the flattened layout from the map's entries. Cost is
+    /// O(prefixes · WIDTH/STRIDE) plus the `2^ROOT_BITS` root array.
+    pub(crate) fn build(map: &BTreeMap<(K, u8), V>) -> FrozenLpm<K, V> {
+        obs::counter_add("lpm.rebuilds", 1);
+        assert!(
+            map.len() < RES_NONE as usize,
+            "FrozenLpm supports < 2^31 - 1 prefixes"
+        );
+        let results: Vec<(u8, V)> = map
+            .iter()
+            .map(|(&(_, plen), v)| (plen, v.clone()))
+            .collect();
+        // Map order is (key, plen) order — `build_table` relies on it
         // (shallow prefixes precede the deeper entries they cover).
-        debug_assert!(entries
-            .windows(2)
-            .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
-        let repr = if entries.len() <= crate::trie::SMALL_MAX {
-            Repr::Small(entries)
-        } else {
-            build_table::<K>(&entries)
+        let entries: Vec<(K, u8, u32)> = map
+            .keys()
+            .zip(0..)
+            .map(|(&(key, plen), id)| (key, plen, id))
+            .collect();
+        if entries.len() <= SMALL_MAX {
+            return FrozenLpm {
+                repr: Repr::Small(entries),
+                results,
+            };
+        }
+        // A lazy build runs inside whichever lookup comes first, and that
+        // call site depends on the thread layout: record it at the root.
+        let _root = obs::enter_root();
+        let _span = obs::span!("lpm-compile");
+        let frozen = FrozenLpm {
+            repr: build_table::<K>(&entries),
+            results,
         };
-        FrozenLpm { repr, results }
+        obs::gauge_max("lpm.frozen_nodes", frozen.node_count() as u64);
+        obs::gauge_max("lpm.frozen_bytes", frozen.heap_bytes() as u64);
+        frozen
     }
 }
 
 impl<K: Bits, V> FrozenLpm<K, V> {
-    /// Number of prefixes captured at freeze time.
-    pub fn len(&self) -> usize {
-        self.results.len()
-    }
-
-    /// True if the frozen table holds no prefixes.
-    pub fn is_empty(&self) -> bool {
-        self.results.is_empty()
-    }
-
     /// Flattened multibit nodes (0 in small/linear-scan representation) —
     /// the footprint metric next to [`FrozenLpm::heap_bytes`].
     pub fn node_count(&self) -> usize {
@@ -275,8 +283,8 @@ impl<K: Bits, V> FrozenLpm<K, V> {
         Some(&self.results[id as usize].1)
     }
 
-    /// Longest-prefix-match against the frozen table: identical answers to
-    /// the source trie's [`LpmTrie::longest_match`] at freeze time.
+    /// Longest-prefix-match: `(plen, &value)` of the most specific stored
+    /// prefix covering `addr`.
     #[inline]
     pub fn longest_match(&self, addr: K) -> Option<(u8, &V)> {
         obs::counter_add("lpm.frozen_lookups", 1);
@@ -680,137 +688,29 @@ fn build_node<K: Bits>(
     }
 }
 
-/// Frozen multibit LPM table for IPv4, compiled with [`Lpm4::freeze`](crate::Lpm4::freeze).
-#[derive(Debug, Clone)]
-pub struct Frozen4<V> {
-    inner: FrozenLpm<u32, V>,
-}
-
-impl<V> Frozen4<V> {
-    pub(crate) fn new(inner: FrozenLpm<u32, V>) -> Frozen4<V> {
-        Frozen4 { inner }
-    }
-
-    /// Most specific covering prefix for `addr` (identical to the source
-    /// [`Lpm4`](crate::Lpm4)'s answer at freeze time).
-    pub fn longest_match(&self, addr: Ipv4Addr) -> Option<(Prefix4, &V)> {
-        self.inner
-            .longest_match(crate::v4_to_u32(addr))
-            .map(|(len, v)| (Prefix4::new(addr, len), v))
-    }
-
-    /// Batched [`Frozen4::longest_match`] preserving input order (memo +
-    /// interleaved prefetch walks).
-    pub fn longest_match_many(&self, addrs: &[Ipv4Addr]) -> Vec<Option<(Prefix4, &V)>> {
-        let keys: Vec<u32> = addrs.iter().map(|&a| crate::v4_to_u32(a)).collect();
-        self.inner
-            .longest_match_many(&keys)
-            .into_iter()
-            .zip(addrs)
-            .map(|(r, &a)| r.map(|(len, v)| (Prefix4::new(a, len), v)))
-            .collect()
-    }
-
-    /// Batched value-only lookup (see [`FrozenLpm::values_many`]).
-    pub fn values_many(&self, addrs: &[Ipv4Addr]) -> Vec<Option<&V>> {
-        let keys: Vec<u32> = addrs.iter().map(|&a| crate::v4_to_u32(a)).collect();
-        self.inner.values_many(&keys)
-    }
-
-    /// Number of prefixes captured at freeze time.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// True if no prefixes were captured.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Flattened multibit nodes (see [`FrozenLpm::node_count`]).
-    pub fn node_count(&self) -> usize {
-        self.inner.node_count()
-    }
-
-    /// Heap footprint in bytes (see [`FrozenLpm::heap_bytes`]).
-    pub fn heap_bytes(&self) -> usize {
-        self.inner.heap_bytes()
-    }
-}
-
-/// Frozen multibit LPM table for IPv6, compiled with [`Lpm6::freeze`](crate::Lpm6::freeze).
-#[derive(Debug, Clone)]
-pub struct Frozen6<V> {
-    inner: FrozenLpm<u128, V>,
-}
-
-impl<V> Frozen6<V> {
-    pub(crate) fn new(inner: FrozenLpm<u128, V>) -> Frozen6<V> {
-        Frozen6 { inner }
-    }
-
-    /// Most specific covering prefix for `addr` (identical to the source
-    /// [`Lpm6`](crate::Lpm6)'s answer at freeze time).
-    pub fn longest_match(&self, addr: Ipv6Addr) -> Option<(Prefix6, &V)> {
-        self.inner
-            .longest_match(crate::v6_to_u128(addr))
-            .map(|(len, v)| (Prefix6::new(addr, len), v))
-    }
-
-    /// Batched [`Frozen6::longest_match`] preserving input order (memo +
-    /// interleaved prefetch walks).
-    pub fn longest_match_many(&self, addrs: &[Ipv6Addr]) -> Vec<Option<(Prefix6, &V)>> {
-        let keys: Vec<u128> = addrs.iter().map(|&a| crate::v6_to_u128(a)).collect();
-        self.inner
-            .longest_match_many(&keys)
-            .into_iter()
-            .zip(addrs)
-            .map(|(r, &a)| r.map(|(len, v)| (Prefix6::new(a, len), v)))
-            .collect()
-    }
-
-    /// Batched value-only lookup (see [`FrozenLpm::values_many`]).
-    pub fn values_many(&self, addrs: &[Ipv6Addr]) -> Vec<Option<&V>> {
-        let keys: Vec<u128> = addrs.iter().map(|&a| crate::v6_to_u128(a)).collect();
-        self.inner.values_many(&keys)
-    }
-
-    /// Number of prefixes captured at freeze time.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// True if no prefixes were captured.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Flattened multibit nodes (see [`FrozenLpm::node_count`]).
-    pub fn node_count(&self) -> usize {
-        self.inner.node_count()
-    }
-
-    /// Heap footprint in bytes (see [`FrozenLpm::heap_bytes`]).
-    pub fn heap_bytes(&self) -> usize {
-        self.inner.heap_bytes()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn frozen(entries: &[(u32, u8, u32)]) -> (LpmTrie<u32, u32>, FrozenLpm<u32, u32>) {
-        let mut trie: LpmTrie<u32, u32> = LpmTrie::new();
-        for &(key, plen, value) in entries {
-            trie.insert(key, plen, value);
-        }
-        let frozen = FrozenLpm::from_trie(&trie);
-        (trie, frozen)
+    fn frozen<K: Bits>(entries: &[(K, u8, u32)]) -> FrozenLpm<K, u32> {
+        let map: BTreeMap<(K, u8), u32> = entries
+            .iter()
+            .map(|&(key, plen, value)| ((key.truncate(plen), plen), value))
+            .collect();
+        FrozenLpm::build(&map)
     }
 
-    /// Enough distinct /16 anchors to push the trie (and the frozen table)
-    /// out of small/linear mode.
+    /// Linear-scan oracle over distinct `(key, plen)` entries.
+    fn oracle<K: Bits>(entries: &[(K, u8, u32)], addr: K) -> Option<(u8, &u32)> {
+        entries
+            .iter()
+            .filter(|&&(key, plen, _)| addr.truncate(plen) == key.truncate(plen))
+            .max_by_key(|&&(_, plen, _)| plen)
+            .map(|(_, plen, value)| (*plen, value))
+    }
+
+    /// Enough distinct /16 anchors to push the table out of the small
+    /// linear-scan repr.
     fn anchors() -> Vec<(u32, u8, u32)> {
         (0..16u32)
             .map(|i| (0xb000_0000 + (i << 16), 16, 900 + i))
@@ -818,7 +718,7 @@ mod tests {
     }
 
     #[test]
-    fn frozen_matches_trie_basics() {
+    fn frozen_matches_oracle_basics() {
         let mut entries = anchors();
         entries.extend([
             (0, 0, 1),            // default route
@@ -828,8 +728,8 @@ mod tests {
             (0x0a14_8080, 26, 5), // mid-stride
             (0xc0a8_0101, 32, 6), // host route
         ]);
-        let (trie, frozen) = frozen(&entries);
-        assert_eq!(frozen.len(), trie.len());
+        let frozen = frozen(&entries);
+        assert!(frozen.node_count() > 0, "table repr");
         for addr in [
             0u32,
             0x0a00_0001,
@@ -844,7 +744,7 @@ mod tests {
         ] {
             assert_eq!(
                 frozen.longest_match(addr),
-                trie.longest_match(addr),
+                oracle(&entries, addr),
                 "addr {addr:#010x}"
             );
         }
@@ -854,18 +754,18 @@ mod tests {
     fn no_default_route_misses() {
         let mut entries = anchors();
         entries.push((0x0a14_8000, 26, 7));
-        let (trie, frozen) = frozen(&entries);
-        assert_eq!(trie.longest_match(0x0a14_8100), None);
+        let frozen = frozen(&entries);
         assert_eq!(frozen.longest_match(0x0a14_8100), None);
         assert_eq!(frozen.longest_match(0x0a14_8001), Some((26, &7)));
     }
 
     #[test]
     fn small_tables_stay_linear() {
-        let (trie, frozen) = frozen(&[(0x0a00_0000, 8, 1), (0, 0, 2)]);
+        let entries = [(0x0a00_0000, 8, 1), (0, 0, 2)];
+        let frozen = frozen(&entries);
         assert_eq!(frozen.node_count(), 0, "small repr allocates no nodes");
         for addr in [0x0a01_0101u32, 0x0b00_0000, 0] {
-            assert_eq!(frozen.longest_match(addr), trie.longest_match(addr));
+            assert_eq!(frozen.longest_match(addr), oracle(&entries, addr));
         }
     }
 
@@ -877,7 +777,7 @@ mod tests {
             entries.push((0x1000_0000 + (i * 0x0002_0100), 24, i));
         }
         entries.push((0x1000_0000, 8, 7777));
-        let (trie, frozen) = frozen(&entries);
+        let frozen = frozen(&entries);
         let mut rng = 0x243f_6a88_85a3_08d3u64;
         let mut addrs: Vec<u32> = (0..4096)
             .map(|_| {
@@ -893,26 +793,29 @@ mod tests {
             addrs.iter().cycle().take(4096).copied().collect()
         }] {
             let got = frozen.longest_match_many(&batch);
+            let values = frozen.values_many(&batch);
             for (i, &addr) in batch.iter().enumerate() {
-                assert_eq!(got[i], trie.longest_match(addr), "addr {addr:#010x}");
+                let want = oracle(&entries, addr);
+                assert_eq!(got[i], want, "addr {addr:#010x}");
+                assert_eq!(values[i], want.map(|(_, v)| v), "addr {addr:#010x}");
             }
         }
     }
 
     #[test]
     fn v6_deep_prefixes_match() {
-        let mut trie: LpmTrie<u128, u32> = LpmTrie::new();
+        let mut entries: Vec<(u128, u8, u32)> = Vec::new();
         for i in 0..64u128 {
-            trie.insert(0x2001_0db8 << 96 | i << 80, 48, i as u32);
-            trie.insert(
+            entries.push((0x2001_0db8 << 96 | i << 80, 48, i as u32));
+            entries.push((
                 0x2001_0db8 << 96 | i << 80 | 0xabcd << 64,
                 64,
                 1000 + i as u32,
-            );
+            ));
         }
-        trie.insert(0x2000 << 112, 3, 424242); // short v6 prefix
-        trie.insert(0, 0, 1);
-        let frozen = FrozenLpm::from_trie(&trie);
+        entries.push((0x2000 << 112, 3, 424242)); // short v6 prefix
+        entries.push((0, 0, 1));
+        let frozen = frozen(&entries);
         let mut rng = 0x1337u64;
         for _ in 0..2000 {
             rng = rng
@@ -925,7 +828,7 @@ mod tests {
                 0x2001_0db8 << 96 | i << 80 | 0xabcd << 64 | tail & ((1 << 64) - 1),
                 tail,
             ] {
-                assert_eq!(frozen.longest_match(addr), trie.longest_match(addr));
+                assert_eq!(frozen.longest_match(addr), oracle(&entries, addr));
             }
         }
     }
@@ -933,7 +836,7 @@ mod tests {
     #[test]
     fn footprint_is_reported() {
         let entries: Vec<(u32, u8, u32)> = (0..1000u32).map(|i| (i << 14, 24, i)).collect();
-        let (_, frozen) = frozen(&entries);
+        let frozen = frozen(&entries);
         assert!(frozen.node_count() > 0);
         // Root table alone is 256 KiB.
         assert!(frozen.heap_bytes() > 1 << 18, "{}", frozen.heap_bytes());

@@ -1,75 +1,60 @@
-//! Path-compressed radix tries with a multibit root table and
-//! longest-prefix-match lookup.
+//! Longest-prefix-match tables: a sorted prefix map as the mutable
+//! authority, answered by the frozen multibit trie of
+//! [`multibit`](crate::multibit).
 //!
-//! # Design
+//! [`LpmTable`] (used as [`Lpm4`]/[`Lpm6`]) is the one LPM engine behind the
+//! BGP RIB (`bgpsim::Rib`), cloud attribution (`core::cloud`), the
+//! residence router's LAN and NAT64 scoping (`flowmon`) and per-prefix path
+//! overrides (`netsim`). The map owns the prefix set; the lookup engine
+//! lives in a [`OnceLock`], is built on the first lookup after a change and
+//! is dropped by every `insert`/`remove`. The lock is `Sync`, so fan-out
+//! workers sharing one `&` table race safely: exactly one builds, the rest
+//! wait for it. An empty table answers `None` without building. See the
+//! crate docs for the architecture and rebuild costs.
 //!
-//! [`LpmTrie`] is the shared LPM engine behind the BGP RIB (`bgpsim::Rib`),
-//! the cloud-attribution pipeline (`core::cloud::hosted_fqdns`) and the
-//! residence router's LAN scoping (`flowmon::RouterMonitor`). The
-//! attribution pipeline performs one lookup per observed FQDN address —
-//! hundreds of thousands per crawl epoch at the paper's 100k-site scale — so
-//! lookup latency here bounds the whole pipeline.
-//!
-//! The engine combines two classic techniques:
-//!
-//! * **Stride-16 root table** — the first [`Bits::ROOT_BITS`] (16) address
-//!   bits index directly into a `2^16`-entry table, replacing up to 16
-//!   dependent pointer-chases with one array load. Prefixes *shorter* than
-//!   the stride live in a precomputed per-slot fallback (`short_best`, the
-//!   DIR-24-8 trick), so they still resolve in O(1) without being walked.
-//! * **Path compression** — below the root table, nodes store their full
-//!   key-so-far and absolute bit depth, so one comparison (`XOR` +
-//!   `leading_zeros`) skips an arbitrarily long single-branch run. A lookup
-//!   visits at most one node per *stored branching point* on its path
-//!   (≈ `log2(n)` for random tables) instead of one node per key bit.
-//!
-//! The seed implementation was a one-bit-per-node arena trie: an IPv6
-//! `longest_match` chased up to 128 pointers, one heap node per prefix bit.
-//! On the 50k-prefix criterion benches (1k lookups per iteration) this
-//! rewrite measures 93.8 µs → 14.3 µs (**6.6x**) for
-//! `lpm6_longest_match_50k_prefixes` and 51.3 µs → 6.0 µs (**8.6x**) for
-//! `lpm4_longest_match_50k_prefixes`; the batched entry point is a further
-//! 1.7x on duplicate-heavy attribution batches. See `BENCH_lpm.json` at the
-//! repo root for the recorded before/after numbers.
-//!
-//! For batched workloads, [`LpmTrie::longest_match_many`] (and the
-//! [`Lpm4`]/[`Lpm6`] wrappers) answers duplicate addresses from a
-//! direct-mapped memo, so hot CDN addresses resolved by thousands of FQDNs
-//! cost one walk. (A sort-the-batch variant was implemented first and
-//! measured slower: post-rewrite, one lookup costs about one sort
-//! comparison — see `BENCH_lpm.json`.)
-//!
-//! Tables with at most a dozen entries (a residence router's LAN prefixes,
-//! test fixtures) stay in a linear-scan **small-table mode** and never
-//! allocate the `2^16`-entry root tables; the first insert beyond the
-//! threshold migrates them in.
-//!
-//! Removal merges path-compressed nodes back together: a node emptied by
-//! `remove` is spliced out (single child) or detached (leaf), cascading
-//! upward, so announce/withdraw churn leaves the trie structurally
-//! identical to a fresh build of the surviving prefix set — depth stays
-//! minimal over a long-lived RIB's lifetime ([`LpmTrie::node_count`] is the
-//! metric; the interleaved-ops property tests assert the equivalence).
+//! ```
+//! use iputil::{Lpm4, Prefix4};
+//! let mut rib: Lpm4<&str> = Lpm4::new();
+//! rib.insert("10.0.0.0/8".parse().unwrap(), "ten");
+//! rib.insert("10.9.0.0/16".parse().unwrap(), "ten-nine");
+//! let (p, v) = rib.longest_match("10.9.4.4".parse().unwrap()).unwrap();
+//! assert_eq!((p.to_string().as_str(), *v), ("10.9.0.0/16", "ten-nine"));
+//! // A removal is visible to the very next lookup.
+//! rib.remove("10.9.0.0/16".parse().unwrap());
+//! let (p, _) = rib.longest_match("10.9.4.4".parse().unwrap()).unwrap();
+//! assert_eq!(p, "10.0.0.0/8".parse::<Prefix4>().unwrap());
+//! ```
 
+use crate::multibit::FrozenLpm;
 use crate::prefix::{Prefix4, Prefix6};
+use std::collections::BTreeMap;
 use std::net::{Ipv4Addr, Ipv6Addr};
+use std::sync::OnceLock;
 
-/// Key types usable in an [`LpmTrie`]: fixed-width big-endian bit strings.
+/// Key types of an [`LpmTable`]: fixed-width big-endian bit strings, tied
+/// to the address and prefix types of their family.
 pub trait Bits: Copy + Eq + Ord + std::fmt::Debug {
     /// Width of the key in bits (32 for IPv4, 128 for IPv6).
     const WIDTH: u8;
 
-    /// Stride of the multibit root table (root slots = `2^ROOT_BITS`).
+    /// Stride of the frozen engine's direct root table
+    /// (root slots = `2^ROOT_BITS`).
     const ROOT_BITS: u8 = 16;
 
-    /// The all-zero key.
-    fn zero() -> Self;
+    /// The address type whose bits this key holds.
+    type Addr: Copy;
 
-    /// The `i`-th bit counted from the most-significant end (0-based).
-    fn bit(self, i: u8) -> bool;
+    /// The CIDR prefix type of this family.
+    type Prefix: Copy;
 
-    /// Return the key with bit `i` (from the most-significant end) set.
-    fn with_bit(self, i: u8) -> Self;
+    /// The key of an address.
+    fn from_addr(addr: Self::Addr) -> Self;
+
+    /// A canonical prefix as `(key, plen)`.
+    fn split_prefix(prefix: Self::Prefix) -> (Self, u8);
+
+    /// The prefix of length `len` covering `addr`.
+    fn join_prefix(addr: Self::Addr, len: u8) -> Self::Prefix;
 
     /// Zero out everything past the first `len` bits.
     fn truncate(self, len: u8) -> Self;
@@ -97,18 +82,19 @@ pub trait Bits: Copy + Eq + Ord + std::fmt::Debug {
 
 impl Bits for u32 {
     const WIDTH: u8 = 32;
+    type Addr = Ipv4Addr;
+    type Prefix = Prefix4;
 
-    fn zero() -> u32 {
-        0
+    fn from_addr(addr: Ipv4Addr) -> u32 {
+        crate::v4_to_u32(addr)
     }
 
-    fn bit(self, i: u8) -> bool {
-        debug_assert!(i < 32);
-        self >> (31 - i) & 1 == 1
+    fn split_prefix(prefix: Prefix4) -> (u32, u8) {
+        (prefix.bits(), prefix.len())
     }
 
-    fn with_bit(self, i: u8) -> u32 {
-        self | 1u32 << (31 - i)
+    fn join_prefix(addr: Ipv4Addr, len: u8) -> Prefix4 {
+        Prefix4::new(addr, len)
     }
 
     fn truncate(self, len: u8) -> u32 {
@@ -140,18 +126,19 @@ impl Bits for u32 {
 
 impl Bits for u128 {
     const WIDTH: u8 = 128;
+    type Addr = Ipv6Addr;
+    type Prefix = Prefix6;
 
-    fn zero() -> u128 {
-        0
+    fn from_addr(addr: Ipv6Addr) -> u128 {
+        crate::v6_to_u128(addr)
     }
 
-    fn bit(self, i: u8) -> bool {
-        debug_assert!(i < 128);
-        self >> (127 - i) & 1 == 1
+    fn split_prefix(prefix: Prefix6) -> (u128, u8) {
+        (prefix.bits(), prefix.len())
     }
 
-    fn with_bit(self, i: u8) -> u128 {
-        self | 1u128 << (127 - i)
+    fn join_prefix(addr: Ipv6Addr, len: u8) -> Prefix6 {
+        Prefix6::new(addr, len)
     }
 
     fn truncate(self, len: u8) -> u128 {
@@ -181,705 +168,108 @@ impl Bits for u128 {
     }
 }
 
-const NO_NODE: u32 = u32::MAX;
-
-/// One path-compressed node: the full key bits from the address's
-/// most-significant end down to absolute depth `len`.
+/// A longest-prefix-match table: prefixes of one family mapped to values.
+/// See the [module docs](self) for the authority/engine split.
 #[derive(Debug, Clone)]
-struct Node<K, V> {
-    key: K,
-    len: u8,
-    value: Option<V>,
-    children: [u32; 2],
+pub struct LpmTable<K: Bits, V> {
+    map: BTreeMap<(K, u8), V>,
+    /// The lookup engine for the current `map`; reset by every mutation.
+    frozen: OnceLock<FrozenLpm<K, V>>,
 }
 
-/// Where a node pointer lives, for in-place rewiring during splits.
-#[derive(Debug, Clone, Copy)]
-enum Link {
-    Root(usize),
-    Child(usize, usize),
-}
+/// Longest-prefix-match table for IPv4.
+pub type Lpm4<V> = LpmTable<u32, V>;
 
-/// A longest-prefix-match trie mapping prefixes (key bits + length) to
-/// values, supporting exact-match and longest-prefix-match queries.
-///
-/// ```
-/// use iputil::trie::LpmTrie;
-/// let mut t: LpmTrie<u32, &str> = LpmTrie::new();
-/// t.insert(0x0a000000, 8, "10/8");          // 10.0.0.0/8
-/// t.insert(0x0a140000, 16, "10.20/16");     // 10.20.0.0/16
-/// assert_eq!(t.longest_match(0x0a140101), Some((16, &"10.20/16")));
-/// assert_eq!(t.longest_match(0x0a010101), Some((8, &"10/8")));
-/// assert_eq!(t.longest_match(0x0b000000), None);
-/// ```
-#[derive(Debug, Clone)]
-pub struct LpmTrie<K: Bits, V> {
-    /// Node arena; `children` and the root tables hold indices into it.
-    nodes: Vec<Node<K, V>>,
-    /// `2^ROOT_BITS` subtree roots for prefixes with `plen >= ROOT_BITS`.
-    /// Empty while the trie is in small-table mode (see [`SMALL_MAX`]).
-    root: Vec<u32>,
-    /// Per-slot deepest short prefix (`plen < ROOT_BITS`) covering the slot:
-    /// the precomputed fallback consulted when the subtree walk misses.
-    short_best: Vec<u32>,
-    /// Node indices of all stored short prefixes (at most `2^ROOT_BITS - 1`
-    /// distinct ones; scanned only on short-prefix exact ops and removals).
-    shorts: Vec<u32>,
-    /// Small-table mode (active while `root` is unallocated): node indices
-    /// of every stored prefix, scanned linearly. Tables with at most
-    /// [`SMALL_MAX`] entries — LAN sets, test fixtures — never pay for the
-    /// `2^ROOT_BITS` root tables; the first insert beyond the threshold
-    /// migrates everything into them.
-    smalls: Vec<u32>,
-    /// Detached (removed small/short) node slots available for reuse, so
-    /// announce/withdraw churn does not grow the arena without bound.
-    free: Vec<u32>,
-    len: usize,
-}
+/// Longest-prefix-match table for IPv6.
+pub type Lpm6<V> = LpmTable<u128, V>;
 
-/// Entry count up to which a trie stays in linear-scan small-table mode.
-/// A handful of compares beats a root-table load at these sizes, and the
-/// two `2^ROOT_BITS` tables (512 KiB combined) are never allocated. The
-/// frozen multibit engine keeps the same threshold for its linear repr.
-pub(crate) const SMALL_MAX: usize = 12;
-
-impl<K: Bits, V> Default for LpmTrie<K, V> {
+impl<K: Bits, V> Default for LpmTable<K, V> {
     fn default() -> Self {
-        Self::new()
+        LpmTable::new()
     }
 }
 
-impl<K: Bits, V> LpmTrie<K, V> {
-    /// Create an empty trie. The root tables are not allocated until the
-    /// table outgrows small-table mode (`SMALL_MAX` entries), so empty
-    /// and small tries are cheap to create and clone.
-    pub fn new() -> LpmTrie<K, V> {
-        LpmTrie {
-            nodes: Vec::new(),
-            root: Vec::new(),
-            short_best: Vec::new(),
-            shorts: Vec::new(),
-            smalls: Vec::new(),
-            free: Vec::new(),
-            len: 0,
+impl<K: Bits, V> LpmTable<K, V> {
+    /// Create an empty table.
+    pub fn new() -> LpmTable<K, V> {
+        LpmTable {
+            map: BTreeMap::new(),
+            frozen: OnceLock::new(),
         }
     }
 
-    /// Number of prefixes stored.
+    /// Insert a prefix, returning any previous value for the exact prefix.
+    pub fn insert(&mut self, prefix: K::Prefix, value: V) -> Option<V> {
+        self.frozen.take();
+        self.map.insert(K::split_prefix(prefix), value)
+    }
+
+    /// Remove an exact prefix, returning its value.
+    pub fn remove(&mut self, prefix: K::Prefix) -> Option<V> {
+        let removed = self.map.remove(&K::split_prefix(prefix));
+        if removed.is_some() {
+            self.frozen.take();
+        }
+        removed
+    }
+
+    /// Exact-match lookup of a stored prefix.
+    pub fn get(&self, prefix: K::Prefix) -> Option<&V> {
+        self.map.get(&K::split_prefix(prefix))
+    }
+
+    /// Number of stored prefixes.
     pub fn len(&self) -> usize {
-        self.len
+        self.map.len()
     }
 
     /// True if no prefixes are stored.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.map.is_empty()
     }
+}
 
-    /// Leave small-table mode: allocate the root tables and re-insert every
-    /// stored prefix through the radix paths.
-    fn build_tables(&mut self) {
-        debug_assert!(self.root.is_empty());
-        self.root = vec![NO_NODE; 1 << K::ROOT_BITS];
-        self.short_best = vec![NO_NODE; 1 << K::ROOT_BITS];
-        let old_nodes = std::mem::take(&mut self.nodes);
-        self.smalls.clear();
-        self.free.clear();
-        self.len = 0;
-        for node in old_nodes {
-            if let Some(value) = node.value {
-                if node.len < K::ROOT_BITS {
-                    self.insert_short(node.key, node.len, value);
-                } else {
-                    self.insert_long(node.key, node.len, value);
-                }
-            }
+impl<K: Bits, V: Clone> LpmTable<K, V> {
+    /// The engine for the current contents, built on first use; `None` for
+    /// an empty table.
+    fn engine(&self) -> Option<&FrozenLpm<K, V>> {
+        if self.map.is_empty() {
+            return None;
         }
+        Some(self.frozen.get_or_init(|| FrozenLpm::build(&self.map)))
     }
 
-    fn set_link(&mut self, link: Link, idx: u32) {
-        match link {
-            Link::Root(slot) => self.root[slot] = idx,
-            Link::Child(node, b) => self.nodes[node].children[b] = idx,
-        }
+    /// Most specific stored prefix covering `addr`, with its value.
+    pub fn longest_match(&self, addr: K::Addr) -> Option<(K::Prefix, &V)> {
+        let (len, v) = self.engine()?.longest_match(K::from_addr(addr))?;
+        Some((K::join_prefix(addr, len), v))
     }
 
-    fn push_node(&mut self, key: K, len: u8, value: Option<V>) -> u32 {
-        let node = Node {
-            key,
-            len,
-            value,
-            children: [NO_NODE, NO_NODE],
+    /// Batched [`LpmTable::longest_match`] preserving input order: a
+    /// duplicate memo in front, interleaved prefetching walks behind it
+    /// (see [`multibit`](crate::multibit)).
+    pub fn longest_match_many(&self, addrs: &[K::Addr]) -> Vec<Option<(K::Prefix, &V)>> {
+        let Some(engine) = self.engine() else {
+            return vec![None; addrs.len()];
         };
-        if let Some(idx) = self.free.pop() {
-            self.nodes[idx as usize] = node;
-            return idx;
-        }
-        let idx = self.nodes.len() as u32;
-        self.nodes.push(node);
-        idx
-    }
-
-    /// The root slots covered by a short prefix `(key, plen)`.
-    fn short_slot_range(key: K, plen: u8) -> std::ops::Range<usize> {
-        debug_assert!(plen < K::ROOT_BITS);
-        let base = key.root_slot();
-        let count = 1usize << (K::ROOT_BITS - plen);
-        base..base + count
-    }
-
-    /// Insert a prefix (key truncated to `plen` bits) with a value.
-    /// Returns the previous value if the exact prefix was already present.
-    ///
-    /// # Panics
-    /// Panics if `plen > K::WIDTH`.
-    pub fn insert(&mut self, key: K, plen: u8, value: V) -> Option<V> {
-        assert!(plen <= K::WIDTH, "prefix length out of range");
-        let key = key.truncate(plen);
-        if self.root.is_empty() {
-            // Small-table mode: replace in place or append.
-            for &idx in &self.smalls {
-                let n = &mut self.nodes[idx as usize];
-                if n.len == plen && n.key == key {
-                    return n.value.replace(value);
-                }
-            }
-            if self.len < SMALL_MAX {
-                let idx = self.push_node(key, plen, Some(value));
-                self.smalls.push(idx);
-                self.len += 1;
-                return None;
-            }
-            self.build_tables();
-        }
-        if plen < K::ROOT_BITS {
-            return self.insert_short(key, plen, value);
-        }
-        self.insert_long(key, plen, value)
-    }
-
-    fn insert_short(&mut self, key: K, plen: u8, value: V) -> Option<V> {
-        // Replace in place if the exact prefix exists.
-        for &idx in &self.shorts {
-            let n = &mut self.nodes[idx as usize];
-            if n.len == plen && n.key == key {
-                return n.value.replace(value);
-            }
-        }
-        let idx = self.push_node(key, plen, Some(value));
-        self.shorts.push(idx);
-        // A deeper short prefix beats a shallower one on every slot it
-        // covers; equal depth cannot collide (distinct prefixes of the same
-        // length cover disjoint slots).
-        for slot in Self::short_slot_range(key, plen) {
-            let cur = self.short_best[slot];
-            if cur == NO_NODE || self.nodes[cur as usize].len < plen {
-                self.short_best[slot] = idx;
-            }
-        }
-        self.len += 1;
-        None
-    }
-
-    fn insert_long(&mut self, key: K, plen: u8, value: V) -> Option<V> {
-        let slot = key.root_slot();
-        let mut link = Link::Root(slot);
-        let mut cur = self.root[slot];
-        loop {
-            if cur == NO_NODE {
-                let idx = self.push_node(key, plen, Some(value));
-                self.set_link(link, idx);
-                self.len += 1;
-                return None;
-            }
-            let (node_key, node_len) = {
-                let n = &self.nodes[cur as usize];
-                (n.key, n.len)
-            };
-            let cpl = key.common_prefix_len(node_key).min(plen).min(node_len);
-            if cpl < node_len {
-                // The new prefix diverges inside this node's compressed run:
-                // split at the divergence point.
-                let old_branch = node_key.bit(cpl) as usize;
-                let mid = if cpl == plen {
-                    // New prefix is an ancestor of the node: it becomes the
-                    // intermediate itself.
-                    self.push_node(key, plen, Some(value))
-                } else {
-                    let mid = self.push_node(key.truncate(cpl), cpl, None);
-                    let leaf = self.push_node(key, plen, Some(value));
-                    self.nodes[mid as usize].children[key.bit(cpl) as usize] = leaf;
-                    mid
-                };
-                self.nodes[mid as usize].children[old_branch] = cur;
-                self.set_link(link, mid);
-                self.len += 1;
-                return None;
-            }
-            // Node's path is a prefix of the key.
-            if node_len == plen {
-                let prev = self.nodes[cur as usize].value.replace(value);
-                if prev.is_none() {
-                    self.len += 1;
-                }
-                return prev;
-            }
-            let b = key.bit(node_len) as usize;
-            link = Link::Child(cur as usize, b);
-            cur = self.nodes[cur as usize].children[b];
-        }
-    }
-
-    /// Exact-match lookup of a stored prefix.
-    pub fn get(&self, key: K, plen: u8) -> Option<&V> {
-        let node = self.walk_exact(key, plen)?;
-        self.nodes[node].value.as_ref()
-    }
-
-    /// Mutable exact-match lookup.
-    pub fn get_mut(&mut self, key: K, plen: u8) -> Option<&mut V> {
-        let node = self.walk_exact(key, plen)?;
-        self.nodes[node].value.as_mut()
-    }
-
-    /// Remove an exact prefix, returning its value. Emptied nodes are
-    /// merged back into their neighbours (a valueless node keeps existing
-    /// only while it has two children), so announce/withdraw churn leaves
-    /// the trie structurally identical to a fresh build of the surviving
-    /// prefix set — lookup depth never degrades over a long-lived RIB's
-    /// lifetime.
-    pub fn remove(&mut self, key: K, plen: u8) -> Option<V> {
-        if plen > K::WIDTH {
-            return None;
-        }
-        let key = key.truncate(plen);
-        if self.root.is_empty() {
-            let pos = self.smalls.iter().position(|&idx| {
-                let n = &self.nodes[idx as usize];
-                n.len == plen && n.key == key
-            })?;
-            let idx = self.smalls.swap_remove(pos);
-            let v = self.nodes[idx as usize].value.take()?;
-            self.free.push(idx);
-            self.len -= 1;
-            return Some(v);
-        }
-        if plen < K::ROOT_BITS {
-            return self.remove_short(key, plen);
-        }
-        // Walk to the exact node, recording every (incoming link, node) so
-        // the un-merge pass below can rewire in place.
-        let slot = key.root_slot();
-        let mut path: Vec<(Link, u32)> = Vec::new();
-        let mut link = Link::Root(slot);
-        let mut cur = self.root[slot];
-        let found = loop {
-            if cur == NO_NODE {
-                return None;
-            }
-            let n = &self.nodes[cur as usize];
-            if n.len > plen || key.truncate(n.len) != n.key {
-                return None;
-            }
-            path.push((link, cur));
-            if n.len == plen {
-                break cur;
-            }
-            let b = key.bit(n.len) as usize;
-            link = Link::Child(cur as usize, b);
-            cur = n.children[b];
-        };
-        let v = self.nodes[found as usize].value.take()?;
-        self.len -= 1;
-        self.prune_path(&path);
-        Some(v)
-    }
-
-    /// Merge pass after a long-prefix removal: walking the recorded path
-    /// bottom-up, a valueless leaf is detached (and may cascade — its
-    /// parent just lost a child), and a valueless single-child node is
-    /// spliced out by pointing its incoming link at the child, restoring
-    /// path compression. Nodes holding a value, or with two children, stop
-    /// the pass.
-    fn prune_path(&mut self, path: &[(Link, u32)]) {
-        for &(incoming, idx) in path.iter().rev() {
-            let n = &self.nodes[idx as usize];
-            if n.value.is_some() {
-                break;
-            }
-            match (n.children[0], n.children[1]) {
-                (NO_NODE, NO_NODE) => {
-                    self.set_link(incoming, NO_NODE);
-                    self.free.push(idx);
-                    // Continue upward: the parent lost this child.
-                }
-                (child, NO_NODE) | (NO_NODE, child) => {
-                    self.set_link(incoming, child);
-                    self.free.push(idx);
-                    break;
-                }
-                _ => break,
-            }
-        }
-    }
-
-    /// Number of live arena nodes (stored prefixes plus branching interior
-    /// nodes). With merge-on-remove this equals the node count of a fresh
-    /// build of the same prefix set — the structural-equivalence metric the
-    /// property tests assert.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len() - self.free.len()
-    }
-
-    fn remove_short(&mut self, key: K, plen: u8) -> Option<V> {
-        let pos = self.shorts.iter().position(|&idx| {
-            let n = &self.nodes[idx as usize];
-            n.len == plen && n.key == key
-        })?;
-        let idx = self.shorts.swap_remove(pos);
-        let v = self.nodes[idx as usize].value.take()?;
-        self.len -= 1;
-        // Recompute the fallback over the removed prefix's slot range: clear
-        // the slots it owned, then let every remaining short prefix repaint
-        // only its own overlap (deepest wins). One pass over `shorts`, each
-        // painting at most its own coverage — not a rescan per slot.
-        let removed = Self::short_slot_range(key, plen);
-        for slot in removed.clone() {
-            if self.short_best[slot] == idx {
-                self.short_best[slot] = NO_NODE;
-            }
-        }
-        for &s in &self.shorts {
-            let n = &self.nodes[s as usize];
-            let cover = Self::short_slot_range(n.key, n.len);
-            let overlap = cover.start.max(removed.start)..cover.end.min(removed.end);
-            for slot in overlap {
-                let cur = self.short_best[slot];
-                if cur == NO_NODE || self.nodes[cur as usize].len < n.len {
-                    self.short_best[slot] = s;
-                }
-            }
-        }
-        self.free.push(idx);
-        Some(v)
-    }
-
-    /// Longest-prefix-match: the most specific stored prefix containing
-    /// `addr`, returned as `(prefix_len, &value)`.
-    #[inline]
-    pub fn longest_match(&self, addr: K) -> Option<(u8, &V)> {
-        obs::counter_add("lpm.lookups", 1);
-        if self.root.is_empty() {
-            // Small-table mode: a linear scan over at most SMALL_MAX nodes.
-            let mut best: Option<(u8, &V)> = None;
-            for &idx in &self.smalls {
-                let n = &self.nodes[idx as usize];
-                if addr.truncate(n.len) == n.key && best.is_none_or(|(len, _)| n.len > len) {
-                    best = n.value.as_ref().map(|v| (n.len, v));
-                }
-            }
-            return best;
-        }
-        let slot = addr.root_slot();
-        let mut best = self.short_best[slot];
-        let mut cur = self.root[slot];
-        while cur != NO_NODE {
-            let n = &self.nodes[cur as usize];
-            if addr.truncate(n.len) != n.key {
-                break;
-            }
-            if n.value.is_some() {
-                best = cur;
-            }
-            if n.len >= K::WIDTH {
-                break;
-            }
-            cur = n.children[addr.bit(n.len) as usize];
-        }
-        if best == NO_NODE {
-            return None;
-        }
-        let n = &self.nodes[best as usize];
-        n.value.as_ref().map(|v| (n.len, v))
-    }
-
-    /// Batched longest-prefix-match preserving input order.
-    ///
-    /// Duplicate addresses (hot CDN endpoints resolved by thousands of
-    /// FQDNs) are answered from a direct-mapped memo instead of re-walking
-    /// the trie — the attribution loop in `core::cloud` feeds entire crawl
-    /// epochs through this. When a probe window over the head of the batch
-    /// observes a memo hit rate below threshold (a duplicate-poor batch),
-    /// the memo bypasses itself for the remainder — decided
-    /// deterministically from batch contents only; see
-    /// [`MEMO_BYPASS`](crate::multibit::MEMO_BYPASS). Sorting the batch was
-    /// measured first and lost: with the stride-16 + path-compressed engine
-    /// a lookup costs about as much as one sort comparison, so an O(1) memo
-    /// probe is the only batching that still pays.
-    pub fn longest_match_many(&self, addrs: &[K]) -> Vec<Option<(u8, &V)>> {
-        crate::multibit::memoized_batch(
-            addrs,
-            |addr| self.longest_match(addr),
-            |rest, out| out.extend(rest.iter().map(|&addr| self.longest_match(addr))),
-        )
-    }
-
-    /// Batched value-only lookup: [`LpmTrie::longest_match_many`] minus the
-    /// prefix-length — the thawed twin of
-    /// [`FrozenLpm::values_many`](crate::multibit::FrozenLpm::values_many),
-    /// so attribution pipelines keep one shape across engine states.
-    pub fn values_many(&self, addrs: &[K]) -> Vec<Option<&V>> {
-        crate::multibit::memoized_batch(
-            addrs,
-            |addr| self.longest_match(addr).map(|(_, v)| v),
-            |rest, out| {
-                out.extend(
-                    rest.iter()
-                        .map(|&addr| self.longest_match(addr).map(|(_, v)| v)),
-                )
-            },
-        )
-    }
-
-    /// Visit every stored `(key, plen, &value)` in depth-first
-    /// (lexicographic) order: a prefix before its extensions, 0-branch
-    /// before 1-branch — identical to sorting by `(key, plen)`.
-    pub fn for_each<F: FnMut(K, u8, &V)>(&self, mut f: F) {
-        let mut entries: Vec<(K, u8, u32)> = Vec::with_capacity(self.len);
-        for (idx, n) in self.nodes.iter().enumerate() {
-            if n.value.is_some() {
-                entries.push((n.key, n.len, idx as u32));
-            }
-        }
-        entries.sort_unstable_by_key(|&(key, plen, _)| (key, plen));
-        for (key, plen, idx) in entries {
-            let v = self.nodes[idx as usize].value.as_ref().expect("filtered");
-            f(key, plen, v);
-        }
-    }
-
-    /// Collect all stored prefixes as `(key, plen)` pairs.
-    pub fn keys(&self) -> Vec<(K, u8)> {
-        let mut out = Vec::with_capacity(self.len);
-        self.for_each(|k, l, _| out.push((k, l)));
-        out
-    }
-
-    /// Compile the current contents into a [`FrozenLpm`](crate::FrozenLpm):
-    /// an immutable flattened multibit table answering byte-identically but
-    /// substantially faster. The trie stays the mutable authority; freeze
-    /// again after mutating.
-    pub fn freeze(&self) -> crate::FrozenLpm<K, V>
-    where
-        V: Clone,
-    {
-        crate::FrozenLpm::from_trie(self)
-    }
-
-    fn walk_exact(&self, key: K, plen: u8) -> Option<usize> {
-        if plen > K::WIDTH {
-            return None;
-        }
-        let key = key.truncate(plen);
-        if self.root.is_empty() {
-            return self
-                .smalls
-                .iter()
-                .find(|&&idx| {
-                    let n = &self.nodes[idx as usize];
-                    n.len == plen && n.key == key
-                })
-                .map(|&idx| idx as usize);
-        }
-        if plen < K::ROOT_BITS {
-            return self
-                .shorts
-                .iter()
-                .find(|&&idx| {
-                    let n = &self.nodes[idx as usize];
-                    n.len == plen && n.key == key
-                })
-                .map(|&idx| idx as usize);
-        }
-        let mut cur = self.root[key.root_slot()];
-        while cur != NO_NODE {
-            let n = &self.nodes[cur as usize];
-            if n.len > plen || key.truncate(n.len) != n.key {
-                return None;
-            }
-            if n.len == plen {
-                return Some(cur as usize);
-            }
-            cur = n.children[key.bit(n.len) as usize];
-        }
-        None
-    }
-}
-
-/// Longest-prefix-match table for IPv4 built on [`LpmTrie`].
-#[derive(Debug, Clone)]
-pub struct Lpm4<V> {
-    trie: LpmTrie<u32, V>,
-}
-
-impl<V> Default for Lpm4<V> {
-    fn default() -> Self {
-        Lpm4::new()
-    }
-}
-
-impl<V> Lpm4<V> {
-    /// Create an empty table.
-    pub fn new() -> Lpm4<V> {
-        Lpm4 {
-            trie: LpmTrie::new(),
-        }
-    }
-
-    /// Insert a prefix, returning any previous value for the exact prefix.
-    pub fn insert(&mut self, prefix: Prefix4, value: V) -> Option<V> {
-        self.trie.insert(prefix.bits(), prefix.len(), value)
-    }
-
-    /// Most specific covering prefix for `addr`.
-    pub fn longest_match(&self, addr: Ipv4Addr) -> Option<(Prefix4, &V)> {
-        self.trie
-            .longest_match(crate::v4_to_u32(addr))
-            .map(|(len, v)| (Prefix4::new(addr, len), v))
-    }
-
-    /// Batched [`Lpm4::longest_match`] over a slice, preserving input order.
-    pub fn longest_match_many(&self, addrs: &[Ipv4Addr]) -> Vec<Option<(Prefix4, &V)>> {
-        let keys: Vec<u32> = addrs.iter().map(|&a| crate::v4_to_u32(a)).collect();
-        self.trie
+        let keys: Vec<K> = addrs.iter().map(|&a| K::from_addr(a)).collect();
+        engine
             .longest_match_many(&keys)
             .into_iter()
             .zip(addrs)
-            .map(|(r, &a)| r.map(|(len, v)| (Prefix4::new(a, len), v)))
+            .map(|(r, &a)| r.map(|(len, v)| (K::join_prefix(a, len), v)))
             .collect()
     }
 
-    /// Batched value-only lookup (see [`LpmTrie::values_many`]).
-    pub fn values_many(&self, addrs: &[Ipv4Addr]) -> Vec<Option<&V>> {
-        let keys: Vec<u32> = addrs.iter().map(|&a| crate::v4_to_u32(a)).collect();
-        self.trie.values_many(&keys)
-    }
-
-    /// Exact-match lookup.
-    pub fn get(&self, prefix: Prefix4) -> Option<&V> {
-        self.trie.get(prefix.bits(), prefix.len())
-    }
-
-    /// Remove an exact prefix.
-    pub fn remove(&mut self, prefix: Prefix4) -> Option<V> {
-        self.trie.remove(prefix.bits(), prefix.len())
-    }
-
-    /// Number of stored prefixes.
-    pub fn len(&self) -> usize {
-        self.trie.len()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.trie.is_empty()
-    }
-
-    /// Live arena nodes (see [`LpmTrie::node_count`]).
-    pub fn node_count(&self) -> usize {
-        self.trie.node_count()
-    }
-
-    /// Compile into a [`Frozen4`](crate::Frozen4) flattened multibit table
-    /// (see [`LpmTrie::freeze`]).
-    pub fn freeze(&self) -> crate::Frozen4<V>
-    where
-        V: Clone,
-    {
-        crate::Frozen4::new(self.trie.freeze())
-    }
-}
-
-/// Longest-prefix-match table for IPv6 built on [`LpmTrie`].
-#[derive(Debug, Clone)]
-pub struct Lpm6<V> {
-    trie: LpmTrie<u128, V>,
-}
-
-impl<V> Default for Lpm6<V> {
-    fn default() -> Self {
-        Lpm6::new()
-    }
-}
-
-impl<V> Lpm6<V> {
-    /// Create an empty table.
-    pub fn new() -> Lpm6<V> {
-        Lpm6 {
-            trie: LpmTrie::new(),
-        }
-    }
-
-    /// Insert a prefix, returning any previous value for the exact prefix.
-    pub fn insert(&mut self, prefix: Prefix6, value: V) -> Option<V> {
-        self.trie.insert(prefix.bits(), prefix.len(), value)
-    }
-
-    /// Most specific covering prefix for `addr`.
-    pub fn longest_match(&self, addr: Ipv6Addr) -> Option<(Prefix6, &V)> {
-        self.trie
-            .longest_match(crate::v6_to_u128(addr))
-            .map(|(len, v)| (Prefix6::new(addr, len), v))
-    }
-
-    /// Batched [`Lpm6::longest_match`] over a slice, preserving input order.
-    pub fn longest_match_many(&self, addrs: &[Ipv6Addr]) -> Vec<Option<(Prefix6, &V)>> {
-        let keys: Vec<u128> = addrs.iter().map(|&a| crate::v6_to_u128(a)).collect();
-        self.trie
-            .longest_match_many(&keys)
-            .into_iter()
-            .zip(addrs)
-            .map(|(r, &a)| r.map(|(len, v)| (Prefix6::new(a, len), v)))
-            .collect()
-    }
-
-    /// Batched value-only lookup (see [`LpmTrie::values_many`]).
-    pub fn values_many(&self, addrs: &[Ipv6Addr]) -> Vec<Option<&V>> {
-        let keys: Vec<u128> = addrs.iter().map(|&a| crate::v6_to_u128(a)).collect();
-        self.trie.values_many(&keys)
-    }
-
-    /// Exact-match lookup.
-    pub fn get(&self, prefix: Prefix6) -> Option<&V> {
-        self.trie.get(prefix.bits(), prefix.len())
-    }
-
-    /// Remove an exact prefix.
-    pub fn remove(&mut self, prefix: Prefix6) -> Option<V> {
-        self.trie.remove(prefix.bits(), prefix.len())
-    }
-
-    /// Number of stored prefixes.
-    pub fn len(&self) -> usize {
-        self.trie.len()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.trie.is_empty()
-    }
-
-    /// Live arena nodes (see [`LpmTrie::node_count`]).
-    pub fn node_count(&self) -> usize {
-        self.trie.node_count()
-    }
-
-    /// Compile into a [`Frozen6`](crate::Frozen6) flattened multibit table
-    /// (see [`LpmTrie::freeze`]).
-    pub fn freeze(&self) -> crate::Frozen6<V>
-    where
-        V: Clone,
-    {
-        crate::Frozen6::new(self.trie.freeze())
+    /// Batched value-only lookup: [`LpmTable::longest_match_many`] without
+    /// materialising the matched prefix — the slim path attribution
+    /// pipelines run on.
+    pub fn values_many(&self, addrs: &[K::Addr]) -> Vec<Option<&V>> {
+        let Some(engine) = self.engine() else {
+            return vec![None; addrs.len()];
+        };
+        let keys: Vec<K> = addrs.iter().map(|&a| K::from_addr(a)).collect();
+        engine.values_many(&keys)
     }
 }
 
@@ -887,111 +277,126 @@ impl<V> Lpm6<V> {
 mod tests {
     use super::*;
 
+    fn p4(bits: u32, len: u8) -> Prefix4 {
+        Prefix4::new(Ipv4Addr::from(bits), len)
+    }
+
+    fn m4<V: Copy>(t: &Lpm4<V>, addr: u32) -> Option<(u8, V)> {
+        t.longest_match(Ipv4Addr::from(addr))
+            .map(|(p, v)| (p.len(), *v))
+    }
+
     #[test]
     fn lpm_basic() {
-        let mut t: LpmTrie<u32, &str> = LpmTrie::new();
+        let mut t: Lpm4<&str> = Lpm4::new();
         assert!(t.is_empty());
-        t.insert(0x0a00_0000, 8, "ten");
-        t.insert(0x0a14_0000, 16, "ten-twenty");
-        t.insert(0, 0, "default");
+        t.insert(p4(0x0a00_0000, 8), "ten");
+        t.insert(p4(0x0a14_0000, 16), "ten-twenty");
+        t.insert(p4(0, 0), "default");
         assert_eq!(t.len(), 3);
-        assert_eq!(t.longest_match(0x0a14_0505), Some((16, &"ten-twenty")));
-        assert_eq!(t.longest_match(0x0a01_0101), Some((8, &"ten")));
-        assert_eq!(t.longest_match(0xc0a8_0101), Some((0, &"default")));
+        assert_eq!(m4(&t, 0x0a14_0505), Some((16, "ten-twenty")));
+        assert_eq!(m4(&t, 0x0a01_0101), Some((8, "ten")));
+        assert_eq!(m4(&t, 0xc0a8_0101), Some((0, "default")));
     }
 
     #[test]
     fn lpm_no_default_misses() {
-        let mut t: LpmTrie<u32, u8> = LpmTrie::new();
-        t.insert(0xc000_0200, 24, 1);
-        assert_eq!(t.longest_match(0xc000_0300), None);
-        assert_eq!(t.longest_match(0xc000_02ff), Some((24, &1)));
+        let mut t: Lpm4<u8> = Lpm4::new();
+        assert_eq!(m4(&t, 0xc000_0300), None, "empty table");
+        t.insert(p4(0xc000_0200, 24), 1);
+        assert_eq!(m4(&t, 0xc000_0300), None);
+        assert_eq!(m4(&t, 0xc000_02ff), Some((24, 1)));
     }
 
     #[test]
     fn insert_replaces() {
-        let mut t: LpmTrie<u32, u8> = LpmTrie::new();
-        assert_eq!(t.insert(0x0a00_0000, 8, 1), None);
-        assert_eq!(t.insert(0x0a00_0000, 8, 2), Some(1));
+        let mut t: Lpm4<u8> = Lpm4::new();
+        assert_eq!(t.insert(p4(0x0a00_0000, 8), 1), None);
+        assert_eq!(m4(&t, 0x0a00_0001), Some((8, 1)));
+        assert_eq!(t.insert(p4(0x0a00_0000, 8), 2), Some(1));
         assert_eq!(t.len(), 1);
-        assert_eq!(t.get(0x0a00_0000, 8), Some(&2));
-        // Same for long prefixes (>= root stride).
-        assert_eq!(t.insert(0x0a14_0000, 24, 5), None);
-        assert_eq!(t.insert(0x0a14_0000, 24, 6), Some(5));
+        assert_eq!(t.get(p4(0x0a00_0000, 8)), Some(&2));
+        // The replacement is visible to the next lookup.
+        assert_eq!(m4(&t, 0x0a00_0001), Some((8, 2)));
+        assert_eq!(t.insert(p4(0x0a14_0000, 24), 5), None);
+        assert_eq!(t.insert(p4(0x0a14_0000, 24), 6), Some(5));
         assert_eq!(t.len(), 2);
     }
 
     #[test]
     fn remove_works() {
-        let mut t: LpmTrie<u32, u8> = LpmTrie::new();
-        t.insert(0x0a00_0000, 8, 1);
-        t.insert(0x0a14_0000, 16, 2);
-        assert_eq!(t.remove(0x0a14_0000, 16), Some(2));
-        assert_eq!(t.remove(0x0a14_0000, 16), None);
+        let mut t: Lpm4<u8> = Lpm4::new();
+        t.insert(p4(0x0a00_0000, 8), 1);
+        t.insert(p4(0x0a14_0000, 16), 2);
+        assert_eq!(m4(&t, 0x0a14_0101), Some((16, 2)));
+        assert_eq!(t.remove(p4(0x0a14_0000, 16)), Some(2));
+        assert_eq!(t.remove(p4(0x0a14_0000, 16)), None);
         assert_eq!(t.len(), 1);
-        assert_eq!(t.longest_match(0x0a14_0101), Some((8, &1)));
+        assert_eq!(m4(&t, 0x0a14_0101), Some((8, 1)));
     }
 
     #[test]
     fn remove_short_recomputes_fallback() {
-        let mut t: LpmTrie<u32, u8> = LpmTrie::new();
-        t.insert(0x0a00_0000, 8, 1);
-        t.insert(0x0a00_0000, 12, 2); // deeper short prefix shadows /8
-        assert_eq!(t.longest_match(0x0a01_0101), Some((12, &2)));
-        assert_eq!(t.remove(0x0a00_0000, 12), Some(2));
-        // The /8 must become visible again on the uncovered slots.
-        assert_eq!(t.longest_match(0x0a01_0101), Some((8, &1)));
-        assert_eq!(t.remove(0x0a00_0000, 8), Some(1));
-        assert_eq!(t.longest_match(0x0a01_0101), None);
+        let mut t: Lpm4<u8> = Lpm4::new();
+        t.insert(p4(0x0a00_0000, 8), 1);
+        t.insert(p4(0x0a00_0000, 12), 2); // deeper short prefix shadows /8
+        assert_eq!(m4(&t, 0x0a01_0101), Some((12, 2)));
+        assert_eq!(t.remove(p4(0x0a00_0000, 12)), Some(2));
+        // The /8 must become visible again on the uncovered addresses.
+        assert_eq!(m4(&t, 0x0a01_0101), Some((8, 1)));
+        assert_eq!(t.remove(p4(0x0a00_0000, 8)), Some(1));
+        assert_eq!(m4(&t, 0x0a01_0101), None);
         assert!(t.is_empty());
     }
 
     #[test]
     fn key_is_truncated_on_insert() {
-        let mut t: LpmTrie<u32, u8> = LpmTrie::new();
-        t.insert(0x0a01_0203, 8, 9); // host bits ignored
-        assert_eq!(t.get(0x0a00_0000, 8), Some(&9));
+        let mut t: Lpm4<u8> = Lpm4::new();
+        t.insert(p4(0x0a01_0203, 8), 9); // host bits ignored
+        assert_eq!(t.get(p4(0x0a00_0000, 8)), Some(&9));
+        assert_eq!(t.remove(p4(0x0aff_ffff, 8)), Some(9));
     }
 
     #[test]
     fn root_stride_boundary_lengths() {
         // Lengths at ROOT_BITS-1, ROOT_BITS and ROOT_BITS+1 must coexist.
-        let mut t: LpmTrie<u32, u8> = LpmTrie::new();
-        t.insert(0x0a14_0000, 15, 15);
-        t.insert(0x0a14_0000, 16, 16);
-        t.insert(0x0a14_8000, 17, 17);
-        assert_eq!(t.longest_match(0x0a14_8001), Some((17, &17)));
-        assert_eq!(t.longest_match(0x0a14_0001), Some((16, &16)));
-        assert_eq!(t.longest_match(0x0a15_0001), Some((15, &15)));
-        assert_eq!(t.get(0x0a14_0000, 15), Some(&15));
-        assert_eq!(t.get(0x0a14_0000, 16), Some(&16));
-        assert_eq!(t.get(0x0a14_8000, 17), Some(&17));
+        let mut t: Lpm4<u8> = Lpm4::new();
+        t.insert(p4(0x0a14_0000, 15), 15);
+        t.insert(p4(0x0a14_0000, 16), 16);
+        t.insert(p4(0x0a14_8000, 17), 17);
+        assert_eq!(m4(&t, 0x0a14_8001), Some((17, 17)));
+        assert_eq!(m4(&t, 0x0a14_0001), Some((16, 16)));
+        assert_eq!(m4(&t, 0x0a15_0001), Some((15, 15)));
+        assert_eq!(t.get(p4(0x0a14_0000, 15)), Some(&15));
+        assert_eq!(t.get(p4(0x0a14_0000, 16)), Some(&16));
+        assert_eq!(t.get(p4(0x0a14_8000, 17)), Some(&17));
     }
 
     #[test]
     fn split_at_divergence_point() {
-        // Two /24s sharing 20 bits force a split at depth 20; a later /20
-        // ancestor insert must land on the intermediate node.
-        let mut t: LpmTrie<u32, u8> = LpmTrie::new();
-        t.insert(0x0a14_1000, 24, 1);
-        t.insert(0x0a14_1800, 24, 2);
-        assert_eq!(t.longest_match(0x0a14_10ff), Some((24, &1)));
-        assert_eq!(t.longest_match(0x0a14_18ff), Some((24, &2)));
-        assert_eq!(t.longest_match(0x0a14_1fff), None);
-        t.insert(0x0a14_1000, 20, 3);
-        assert_eq!(t.longest_match(0x0a14_1fff), Some((20, &3)));
-        assert_eq!(t.longest_match(0x0a14_10ff), Some((24, &1)));
+        // Two /24s sharing 20 bits; a later /20 ancestor must cover the gap
+        // between them without shadowing either.
+        let mut t: Lpm4<u8> = Lpm4::new();
+        t.insert(p4(0x0a14_1000, 24), 1);
+        t.insert(p4(0x0a14_1800, 24), 2);
+        assert_eq!(m4(&t, 0x0a14_10ff), Some((24, 1)));
+        assert_eq!(m4(&t, 0x0a14_18ff), Some((24, 2)));
+        assert_eq!(m4(&t, 0x0a14_1fff), None);
+        t.insert(p4(0x0a14_1000, 20), 3);
+        assert_eq!(m4(&t, 0x0a14_1fff), Some((20, 3)));
+        assert_eq!(m4(&t, 0x0a14_10ff), Some((24, 1)));
         assert_eq!(t.len(), 3);
     }
 
     #[test]
     fn ancestor_inserted_after_descendant() {
-        let mut t: LpmTrie<u32, u8> = LpmTrie::new();
-        t.insert(0xc0a8_0100, 24, 1);
-        t.insert(0xc0a8_0000, 18, 2); // ancestor arrives second
-        assert_eq!(t.longest_match(0xc0a8_0101), Some((24, &1)));
-        assert_eq!(t.longest_match(0xc0a8_2001), Some((18, &2)));
-        assert_eq!(t.get(0xc0a8_0000, 18), Some(&2));
+        let mut t: Lpm4<u8> = Lpm4::new();
+        t.insert(p4(0xc0a8_0100, 24), 1);
+        assert_eq!(m4(&t, 0xc0a8_2001), None);
+        t.insert(p4(0xc0a8_0000, 18), 2); // ancestor arrives second
+        assert_eq!(m4(&t, 0xc0a8_0101), Some((24, 1)));
+        assert_eq!(m4(&t, 0xc0a8_2001), Some((18, 2)));
+        assert_eq!(t.get(p4(0xc0a8_0000, 18)), Some(&2));
     }
 
     #[test]
@@ -1021,47 +426,27 @@ mod tests {
 
     #[test]
     fn full_length_host_routes() {
-        let mut t: LpmTrie<u32, u8> = LpmTrie::new();
-        t.insert(0xc0a8_0101, 32, 7);
-        assert_eq!(t.longest_match(0xc0a8_0101), Some((32, &7)));
-        assert_eq!(t.longest_match(0xc0a8_0102), None);
-        let mut t6: LpmTrie<u128, u8> = LpmTrie::new();
-        let a = crate::v6_to_u128("2001:db8::1".parse().unwrap());
-        t6.insert(a, 128, 9);
-        assert_eq!(t6.longest_match(a), Some((128, &9)));
-    }
-
-    #[test]
-    fn for_each_visits_everything_in_order() {
-        let mut t: LpmTrie<u32, u8> = LpmTrie::new();
-        t.insert(0x0a00_0000, 8, 1);
-        t.insert(0x0a14_0000, 16, 2);
-        t.insert(0x0b00_0000, 8, 3);
-        t.insert(0, 0, 0);
-        let keys = t.keys();
-        assert_eq!(
-            keys,
-            vec![
-                (0, 0),
-                (0x0a00_0000, 8),
-                (0x0a14_0000, 16),
-                (0x0b00_0000, 8)
-            ]
-        );
-        let mut total = 0u32;
-        t.for_each(|_, _, v| total += *v as u32);
-        assert_eq!(total, 6);
+        let mut t: Lpm4<u8> = Lpm4::new();
+        t.insert(p4(0xc0a8_0101, 32), 7);
+        assert_eq!(m4(&t, 0xc0a8_0101), Some((32, 7)));
+        assert_eq!(m4(&t, 0xc0a8_0102), None);
+        let mut t6: Lpm6<u8> = Lpm6::new();
+        let a: Ipv6Addr = "2001:db8::1".parse().unwrap();
+        t6.insert(Prefix6::new(a, 128), 9);
+        let (p, v) = t6.longest_match(a).unwrap();
+        assert_eq!((p.len(), *v), (128, 9));
     }
 
     #[test]
     fn longest_match_many_preserves_order_and_dedupes() {
         let mut t: Lpm4<u8> = Lpm4::new();
-        t.insert("10.0.0.0/8".parse().unwrap(), 1);
-        t.insert("10.9.0.0/16".parse().unwrap(), 2);
         let addrs: Vec<Ipv4Addr> = ["10.9.0.1", "172.16.0.1", "10.1.2.3", "10.9.0.1"]
             .iter()
             .map(|s| s.parse().unwrap())
             .collect();
+        assert_eq!(t.longest_match_many(&addrs), vec![None; 4], "empty table");
+        t.insert("10.0.0.0/8".parse().unwrap(), 1);
+        t.insert("10.9.0.0/16".parse().unwrap(), 2);
         let got = t.longest_match_many(&addrs);
         assert_eq!(got.len(), 4);
         assert_eq!(got[0].map(|(p, v)| (p.len(), *v)), Some((16, 2)));
@@ -1069,87 +454,12 @@ mod tests {
         assert_eq!(got[2].map(|(p, v)| (p.len(), *v)), Some((8, 1)));
         assert_eq!(got[3].map(|(p, v)| (p.len(), *v)), Some((16, 2)));
         // Batched must agree with one-at-a-time on every input.
+        let values = t.values_many(&addrs);
         for (i, &a) in addrs.iter().enumerate() {
-            assert_eq!(
-                got[i].map(|(p, v)| (p, *v)),
-                t.longest_match(a).map(|(p, v)| (p, *v))
-            );
+            let want = t.longest_match(a).map(|(p, v)| (p, *v));
+            assert_eq!(got[i].map(|(p, v)| (p, *v)), want);
+            assert_eq!(values[i].copied(), want.map(|(_, v)| v));
         }
-    }
-
-    #[test]
-    fn bit_indexing() {
-        assert!(0x8000_0000u32.bit(0));
-        assert!(!0x8000_0000u32.bit(1));
-        assert!(1u32.bit(31));
-        assert!((1u128 << 127).bit(0));
-        assert!(1u128.bit(127));
-    }
-
-    #[test]
-    fn churn_does_not_grow_the_arena() {
-        // Announce/withdraw cycles must recycle detached nodes, not append
-        // (a long-lived RIB would otherwise grow without bound).
-        let mut small: LpmTrie<u32, u8> = LpmTrie::new();
-        for i in 0..200 {
-            small.insert(0x0a00_0000, 8, i as u8);
-            assert_eq!(small.remove(0x0a00_0000, 8), Some(i as u8));
-        }
-        assert!(
-            small.nodes.len() <= 1,
-            "small-mode churn grew arena to {}",
-            small.nodes.len()
-        );
-
-        let mut big: LpmTrie<u32, u8> = LpmTrie::new();
-        for i in 0..32 {
-            big.insert(0x0b00_0000 + (i << 16), 16, 0); // force table mode
-        }
-        let baseline = big.nodes.len();
-        for i in 0..200 {
-            big.insert(0x0a00_0000, 8, i as u8); // short prefix in table mode
-            assert_eq!(big.remove(0x0a00_0000, 8), Some(i as u8));
-        }
-        assert!(
-            big.nodes.len() <= baseline + 1,
-            "short-prefix churn grew arena from {baseline} to {}",
-            big.nodes.len()
-        );
-        // Long-prefix churn reuses the in-place node (value slot cleared).
-        for i in 0..200 {
-            big.insert(0x0c00_0000, 24, i as u8);
-            assert_eq!(big.remove(0x0c00_0000, 24), Some(i as u8));
-        }
-        assert!(big.nodes.len() <= baseline + 2);
-        // The trie still answers correctly after all that churn.
-        big.insert(0x0a00_0000, 8, 77);
-        assert_eq!(big.longest_match(0x0a01_0101), Some((8, &77)));
-    }
-
-    #[test]
-    fn remove_merges_split_nodes_back() {
-        // Force table mode with 16 anchors, then split a run and heal it.
-        let mut t: LpmTrie<u32, u8> = LpmTrie::new();
-        for i in 0..16u32 {
-            t.insert(0xb000_0000 + (i << 20), 16, 0);
-        }
-        let baseline = t.node_count();
-        // Two /24s under one /16 create an interior split node at bit 20.
-        t.insert(0x0a14_1000, 24, 1);
-        t.insert(0x0a14_1800, 24, 2);
-        assert_eq!(t.node_count(), baseline + 3, "two leaves + one interior");
-        // Removing one /24 must also splice the now-pointless interior out.
-        assert_eq!(t.remove(0x0a14_1800, 24), Some(2));
-        assert_eq!(t.node_count(), baseline + 1, "interior merged away");
-        assert_eq!(t.longest_match(0x0a14_10ff), Some((24, &1)));
-        assert_eq!(t.remove(0x0a14_1000, 24), Some(1));
-        assert_eq!(t.node_count(), baseline, "subtree fully reclaimed");
-        // A valueless ancestor chain collapses when a leaf is detached.
-        t.insert(0x0a00_0000, 20, 7);
-        t.insert(0x0a00_0800, 24, 8); // child of the /20's subtree
-        assert_eq!(t.remove(0x0a00_0800, 24), Some(8));
-        assert_eq!(t.remove(0x0a00_0000, 20), Some(7));
-        assert_eq!(t.node_count(), baseline);
     }
 
     #[test]

@@ -1,10 +1,12 @@
-//! Property-based tests for iputil: LPM-vs-linear-scan equivalence,
-//! anonymizer prefix preservation, prefix algebra invariants.
+//! Property-based tests for iputil: LPM tables against a linear-scan
+//! oracle, anonymizer prefix preservation, prefix algebra invariants.
 
 use iputil::anon::{Anonymizer, AnonymizerConfig};
-use iputil::prefix::{Prefix4, Prefix6};
-use iputil::trie::{Lpm4, Lpm6, LpmTrie};
+use iputil::multibit::{MEMO_BYPASS, SMALL_MAX};
+use iputil::prefix::{mask128, mask32, Prefix4, Prefix6};
+use iputil::{Bits, Lpm4, Lpm6, LpmTable};
 use proptest::prelude::*;
+use std::fmt::Debug;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 fn arb_prefix4() -> impl Strategy<Value = Prefix4> {
@@ -16,7 +18,7 @@ fn arb_prefix6() -> impl Strategy<Value = Prefix6> {
 }
 
 proptest! {
-    /// The trie's longest match must agree with a brute-force linear scan.
+    /// The table's longest match must agree with a brute-force linear scan.
     #[test]
     fn lpm_matches_linear_scan(
         prefixes in proptest::collection::vec(arb_prefix4(), 1..40),
@@ -46,7 +48,8 @@ proptest! {
         }
     }
 
-    /// Inserting then removing every prefix leaves the trie empty for queries.
+    /// Inserting then removing every prefix leaves the table empty for
+    /// queries.
     #[test]
     fn trie_remove_all(prefixes in proptest::collection::vec(arb_prefix4(), 1..30)) {
         let mut trie: Lpm4<u8> = Lpm4::new();
@@ -138,19 +141,19 @@ proptest! {
         prop_assert!(parent.contains(h));
     }
 
-    /// The generic trie agrees with the wrapper on u128 keys.
+    /// Every inserted IPv6 prefix is found again by exact-match `get`.
     #[test]
     fn trie_u128_exact(prefixes in proptest::collection::vec(arb_prefix6(), 1..20)) {
-        let mut t: LpmTrie<u128, usize> = LpmTrie::new();
+        let mut t: Lpm6<usize> = Lpm6::new();
         for (i, p) in prefixes.iter().enumerate() {
-            t.insert(p.bits(), p.len(), i);
+            t.insert(*p, i);
         }
         for p in &prefixes {
-            prop_assert!(t.get(p.bits(), p.len()).is_some());
+            prop_assert!(t.get(*p).is_some());
         }
     }
 
-    /// IPv6: the radix trie's longest match must agree with a brute-force
+    /// IPv6: the table's longest match must agree with a brute-force
     /// linear scan (observational equivalence against a naive reference).
     /// Addresses are biased toward stored prefixes so hits are exercised,
     /// not just misses.
@@ -227,7 +230,7 @@ proptest! {
         }
     }
 
-    /// Inserting then removing every IPv6 prefix leaves the trie empty for
+    /// Inserting then removing every IPv6 prefix leaves the table empty for
     /// queries (the v4 twin of `trie_remove_all` above).
     #[test]
     fn trie6_remove_all(prefixes in proptest::collection::vec(arb_prefix6(), 1..30)) {
@@ -244,10 +247,10 @@ proptest! {
         }
     }
 
-    /// Interleaved inserts and removes leave the trie *structurally*
-    /// equivalent to a fresh build of the surviving prefix set: same stored
-    /// prefixes, same live node count (merge-on-remove reclaims every
-    /// split node churn created), and identical longest-match behaviour.
+    /// Interleaved inserts and removes leave the table equivalent to a
+    /// fresh build of the surviving prefix set: same stored prefixes and
+    /// values, and identical longest-match behaviour (the lookup engine is
+    /// a pure function of the map, not of its history).
     #[test]
     fn lpm4_interleaved_ops_structurally_equal_fresh_build(
         ops in proptest::collection::vec(
@@ -256,8 +259,8 @@ proptest! {
         ),
         probes in proptest::collection::vec(any::<u32>(), 1..30),
     ) {
-        // 16 fixed anchors keep both tries out of small-table mode so the
-        // comparison exercises the radix paths.
+        // 16 fixed anchors keep both tables out of the small linear-scan
+        // repr so the comparison exercises the root-table paths.
         let anchors: Vec<Prefix4> = (0..16u32)
             .map(|i| Prefix4::new(Ipv4Addr::from(0xb000_0000 + (i << 20)), 16))
             .collect();
@@ -277,17 +280,15 @@ proptest! {
             }
         }
         // Fresh build of the surviving set (insertion order is irrelevant
-        // to the canonical radix structure).
+        // to the sorted map).
         let mut fresh: Lpm4<u32> = Lpm4::new();
         for (p, v) in &reference {
             fresh.insert(*p, *v);
         }
         prop_assert_eq!(churned.len(), fresh.len());
-        prop_assert_eq!(
-            churned.node_count(),
-            fresh.node_count(),
-            "churned trie must not retain stale interior nodes"
-        );
+        for (p, v) in &reference {
+            prop_assert_eq!(churned.get(*p), Some(v));
+        }
         for bits in probes {
             let addr = Ipv4Addr::from(bits);
             prop_assert_eq!(
@@ -329,7 +330,9 @@ proptest! {
             fresh.insert(*p, *v);
         }
         prop_assert_eq!(churned.len(), fresh.len());
-        prop_assert_eq!(churned.node_count(), fresh.node_count());
+        for (p, v) in &reference {
+            prop_assert_eq!(churned.get(*p), Some(v));
+        }
         for bits in probes {
             let addr = Ipv6Addr::from(bits);
             prop_assert_eq!(
@@ -339,11 +342,12 @@ proptest! {
         }
     }
 
-    /// The frozen multibit engine must answer byte-identically to the trie
-    /// it was compiled from — scalar and batched, hits and misses — across
-    /// interleaved insert/remove/compile sequences. Short prefixes and the
-    /// default route are force-included so the leaf-pushing and
-    /// root-spanning paths are always exercised.
+    /// The frozen multibit engine behind an IPv4 table must answer exactly
+    /// like a map-based reference (the role the radix trie once played) —
+    /// scalar and batched, hits and misses — across interleaved
+    /// insert/remove sequences. Short prefixes and the default route are
+    /// force-included so the leaf-pushing and root-spanning paths are
+    /// always exercised.
     #[test]
     fn frozen4_differential_vs_trie(
         ops in proptest::collection::vec(
@@ -355,156 +359,269 @@ proptest! {
         probes in proptest::collection::vec(any::<u32>(), 1..40),
         freeze_at in 0usize..60,
     ) {
-        let mut trie: Lpm4<u32> = Lpm4::new();
+        fn reference_lpm(
+            reference: &std::collections::HashMap<Prefix4, u32>,
+            addr: Ipv4Addr,
+        ) -> Option<(Prefix4, u32)> {
+            reference
+                .iter()
+                .filter(|(p, _)| p.contains(addr))
+                .max_by_key(|(p, _)| p.len())
+                .map(|(p, v)| (*p, *v))
+        }
+        let mut table: Lpm4<u32> = Lpm4::new();
         let mut reference: std::collections::HashMap<Prefix4, u32> =
             std::collections::HashMap::new();
         if default_route {
-            trie.insert(Prefix4::new(Ipv4Addr::from(0), 0), 424242);
+            table.insert(Prefix4::new(Ipv4Addr::from(0), 0), 424242);
             reference.insert(Prefix4::new(Ipv4Addr::from(0), 0), 424242);
         }
-        trie.insert(Prefix4::new(Ipv4Addr::from(short.0), short.1), 434343);
+        table.insert(Prefix4::new(Ipv4Addr::from(short.0), short.1), 434343);
         reference.insert(Prefix4::new(Ipv4Addr::from(short.0), short.1), 434343);
-        // Churn up to a mid-sequence point, compile, keep churning, compile
-        // again: the second frozen table must reflect every op, the first
-        // must still answer for its own snapshot.
+        // Churn up to a mid-sequence point, build the engine and snapshot
+        // the table, keep churning: the live table must reflect every op,
+        // the snapshot must still answer for its own contents.
         let split = freeze_at.min(ops.len());
         for &((bits, len), is_insert, val) in &ops[..split] {
             let p = Prefix4::new(Ipv4Addr::from(bits), len);
-            if is_insert { trie.insert(p, val); reference.insert(p, val); }
-            else { trie.remove(p); reference.remove(&p); }
+            if is_insert { table.insert(p, val); reference.insert(p, val); }
+            else { table.remove(p); reference.remove(&p); }
         }
-        let mid_frozen = trie.freeze();
-        let mid_trie = trie.clone();
+        let _ = table.longest_match(Ipv4Addr::from(0));
+        let mid_table = table.clone();
+        let mid_reference = reference.clone();
         for &((bits, len), is_insert, val) in &ops[split..] {
             let p = Prefix4::new(Ipv4Addr::from(bits), len);
-            if is_insert { trie.insert(p, val); reference.insert(p, val); }
-            else { trie.remove(p); reference.remove(&p); }
+            if is_insert { table.insert(p, val); reference.insert(p, val); }
+            else { table.remove(p); reference.remove(&p); }
         }
-        let frozen = trie.freeze();
-        prop_assert_eq!(frozen.len(), trie.len());
-        // Fresh insertion of the surviving set compiles to the same answers
-        // (the compile is a pure function of trie contents, not history).
+        prop_assert_eq!(table.len(), reference.len());
+        // Fresh insertion of the surviving set gives the same answers (the
+        // engine is a pure function of the contents, not of history).
         let mut fresh: Lpm4<u32> = Lpm4::new();
         for (p, v) in &reference {
             fresh.insert(*p, *v);
         }
-        let fresh_frozen = fresh.freeze();
         let addrs: Vec<Ipv4Addr> = probes.iter().map(|&b| Ipv4Addr::from(b)).collect();
-        let batch = frozen.longest_match_many(&addrs);
-        let values = frozen.values_many(&addrs);
-        let mid_batch = mid_frozen.longest_match_many(&addrs);
+        let batch = table.longest_match_many(&addrs);
+        let values = table.values_many(&addrs);
+        let mid_batch = mid_table.longest_match_many(&addrs);
         for (i, &a) in addrs.iter().enumerate() {
-            let want = trie.longest_match(a).map(|(p, v)| (p, *v));
-            prop_assert_eq!(frozen.longest_match(a).map(|(p, v)| (p, *v)), want, "scalar {}", a);
+            let want = reference_lpm(&reference, a);
+            prop_assert_eq!(table.longest_match(a).map(|(p, v)| (p, *v)), want, "scalar {}", a);
             prop_assert_eq!(batch[i].map(|(p, v)| (p, *v)), want, "batched {}", a);
             prop_assert_eq!(values[i].copied(), want.map(|(_, v)| v), "values {}", a);
             prop_assert_eq!(
-                fresh_frozen.longest_match(a).map(|(p, v)| (p, *v)),
+                fresh.longest_match(a).map(|(p, v)| (p, *v)),
                 want,
                 "fresh-build {}", a
             );
             prop_assert_eq!(
                 mid_batch[i].map(|(p, v)| (p, *v)),
-                mid_trie.longest_match(a).map(|(p, v)| (p, *v)),
+                reference_lpm(&mid_reference, a),
                 "mid-churn snapshot {}", a
             );
         }
     }
+}
 
-    /// IPv6 twin of the frozen differential property — the 128-bit key
-    /// exercises multi-level stride chains, path-compressed skips, and the
-    /// uniform-node encoding far more deeply than v4.
-    #[test]
-    fn frozen6_differential_vs_trie(
-        ops in proptest::collection::vec(
-            ((any::<u128>(), 0u8..=128), any::<bool>(), any::<u32>()),
-            1..50,
-        ),
-        default_route in any::<bool>(),
-        short in (any::<u128>(), 1u8..=12),
-        probes in proptest::collection::vec((any::<u128>(), 0usize..50, any::<bool>()), 1..30),
-        freeze_at in 0usize..50,
-    ) {
-        let mut trie: Lpm6<u32> = Lpm6::new();
-        if default_route {
-            trie.insert(Prefix6::new(Ipv6Addr::from(0), 0), 424242);
+/// The linear-scan oracle the LPM tables are checked against: the stored
+/// prefixes in a `Vec`, every lookup a scan over all of them.
+struct Oracle<K: Bits>(Vec<(K::Prefix, u32)>);
+
+impl<K: Bits> Oracle<K>
+where
+    K::Prefix: PartialEq,
+{
+    fn insert(&mut self, prefix: K::Prefix, value: u32) -> Option<u32> {
+        match self.0.iter_mut().find(|(p, _)| *p == prefix) {
+            Some(entry) => Some(std::mem::replace(&mut entry.1, value)),
+            None => {
+                self.0.push((prefix, value));
+                None
+            }
         }
-        trie.insert(Prefix6::new(Ipv6Addr::from(short.0), short.1), 434343);
-        let mut inserted: Vec<Prefix6> = Vec::new();
-        let split = freeze_at.min(ops.len());
-        for &((bits, len), is_insert, val) in &ops[..split] {
-            let p = Prefix6::new(Ipv6Addr::from(bits), len);
-            if is_insert { trie.insert(p, val); inserted.push(p); } else { trie.remove(p); }
-        }
-        let mid_frozen = trie.freeze();
-        let mid_trie = trie.clone();
-        for &((bits, len), is_insert, val) in &ops[split..] {
-            let p = Prefix6::new(Ipv6Addr::from(bits), len);
-            if is_insert { trie.insert(p, val); inserted.push(p); } else { trie.remove(p); }
-        }
-        let frozen = trie.freeze();
-        prop_assert_eq!(frozen.len(), trie.len());
-        // Bias probes toward stored prefixes so deep hits are exercised,
-        // not just root-table misses.
-        let addrs: Vec<Ipv6Addr> = probes
+    }
+
+    fn remove(&mut self, prefix: K::Prefix) -> Option<u32> {
+        let i = self.0.iter().position(|(p, _)| *p == prefix)?;
+        Some(self.0.remove(i).1)
+    }
+
+    fn longest_match(&self, addr: K::Addr) -> Option<(K::Prefix, u32)> {
+        let key = K::from_addr(addr);
+        self.0
             .iter()
-            .map(|&(bits, pick, inside)| {
-                if inside && !inserted.is_empty() {
-                    let p = inserted[pick % inserted.len()];
-                    let host = if p.len() == 128 { 0 } else { bits & !iputil::prefix::mask128(p.len()) };
-                    Ipv6Addr::from(p.bits() | host)
-                } else {
-                    Ipv6Addr::from(bits)
-                }
+            .filter_map(|&(p, v)| {
+                let (bits, len) = K::split_prefix(p);
+                (key.truncate(len) == bits).then_some((len, v))
             })
-            .collect();
-        let batch = frozen.longest_match_many(&addrs);
-        let values = frozen.values_many(&addrs);
-        let mid_batch = mid_frozen.longest_match_many(&addrs);
-        for (i, &a) in addrs.iter().enumerate() {
-            let want = trie.longest_match(a).map(|(p, v)| (p, *v));
-            prop_assert_eq!(frozen.longest_match(a).map(|(p, v)| (p, *v)), want, "scalar {}", a);
-            prop_assert_eq!(batch[i].map(|(p, v)| (p, *v)), want, "batched {}", a);
-            prop_assert_eq!(values[i].copied(), want.map(|(_, v)| v), "values {}", a);
-            prop_assert_eq!(
-                mid_batch[i].map(|(p, v)| (p, *v)),
-                mid_trie.longest_match(a).map(|(p, v)| (p, *v)),
-                "mid-churn snapshot {}", a
-            );
+            .max_by_key(|&(len, _)| len)
+            .map(|(len, v)| (K::join_prefix(addr, len), v))
+    }
+}
+
+/// Every lookup path of `table` must answer like the oracle: scalar
+/// lookups on the head of `probes`, and with `batches` also
+/// `longest_match_many`/`values_many` over all of `probes` (long and
+/// duplicate-poor, so the memo bypasses itself) and over a duplicate-heavy
+/// batch (served by the memo).
+fn assert_agrees<K: Bits>(
+    table: &LpmTable<K, u32>,
+    oracle: &Oracle<K>,
+    probes: &[K::Addr],
+    batches: bool,
+) where
+    K::Prefix: PartialEq + Debug,
+    K::Addr: Debug,
+{
+    assert_eq!(table.len(), oracle.0.len());
+    let scalar = if batches { probes.len() } else { 24 };
+    for &a in probes.iter().take(scalar) {
+        let got = table.longest_match(a).map(|(p, v)| (p, *v));
+        assert_eq!(got, oracle.longest_match(a), "scalar {a:?}");
+    }
+    if !batches {
+        return;
+    }
+    let dup: Vec<K::Addr> = probes.iter().take(4).cycle().take(600).copied().collect();
+    for batch in [probes, &dup] {
+        let many = table.longest_match_many(batch);
+        let values = table.values_many(batch);
+        for (i, &a) in batch.iter().enumerate() {
+            let want = oracle.longest_match(a);
+            assert_eq!(many[i].map(|(p, v)| (p, *v)), want, "batched {a:?}");
+            assert_eq!(values[i].copied(), want.map(|(_, v)| v), "values {a:?}");
         }
     }
+}
 
-    /// Interleaved inserts and removes keep the trie equivalent to a naive
-    /// map-based reference, LPM included (catches stale short_best /
-    /// dangling-split bugs that insert-only tests cannot).
+/// Grow a table from empty past [`SMALL_MAX`], churn it (replace or remove
+/// stored prefixes), then drain it back to empty, checking it against the
+/// oracle after every mutation so each lookup follows an invalidation and
+/// runs on a fresh lazy build.
+fn grow_churn_drain<K: Bits>(
+    grow: &[(K::Prefix, u32)],
+    churn: &[(usize, bool, u32)],
+    probes: impl Fn(&Oracle<K>) -> Vec<K::Addr>,
+) where
+    K::Prefix: PartialEq + Debug,
+    K::Addr: Debug,
+{
+    let mut table: LpmTable<K, u32> = LpmTable::new();
+    let mut oracle: Oracle<K> = Oracle(Vec::new());
+    assert_agrees(&table, &oracle, &probes(&oracle), true);
+    let mut step = 0usize;
+    let mut check = |table: &LpmTable<K, u32>, oracle: &Oracle<K>| {
+        step += 1;
+        assert_agrees(table, oracle, &probes(oracle), step.is_multiple_of(8));
+    };
+    for &(p, v) in grow {
+        assert_eq!(table.insert(p, v), oracle.insert(p, v), "insert {p:?}");
+        check(&table, &oracle);
+    }
+    assert!(
+        table.len() > SMALL_MAX,
+        "grow phase must leave the small repr"
+    );
+    assert_agrees(&table, &oracle, &probes(&oracle), true);
+    for &(pick, replace, v) in churn {
+        let Some(&(p, _)) = oracle.0.get(pick % oracle.0.len().max(1)) else {
+            break;
+        };
+        if replace {
+            assert_eq!(table.insert(p, v), oracle.insert(p, v), "replace {p:?}");
+        } else {
+            assert_eq!(table.remove(p), oracle.remove(p), "remove {p:?}");
+        }
+        check(&table, &oracle);
+    }
+    while let Some(&(p, _)) = oracle.0.last() {
+        assert_eq!(table.remove(p), oracle.remove(p), "drain {p:?}");
+        check(&table, &oracle);
+    }
+    assert!(table.is_empty());
+    assert_agrees(&table, &oracle, &probes(&oracle), true);
+}
+
+/// A prefix length: half the draws are the boundary lengths (/0, the
+/// root-stride neighbours /15–/17, /32 and the host route), half uniform.
+fn arb_len(width: u8) -> impl Strategy<Value = u8> {
+    (0usize..12, 0u8..=width)
+        .prop_map(move |(pick, any)| [0, 15, 16, 17, 32, width].get(pick).copied().unwrap_or(any))
+}
+
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// More probes than the memo's probe window, alternating random addresses
+/// with addresses inside stored prefixes (so hits are exercised too).
+fn probe_count() -> usize {
+    MEMO_BYPASS.0 + 64
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// IPv4: inserts, replacements and removals interleaved with lookups
+    /// match the linear-scan oracle on every lookup path, across the
+    /// small/table repr boundary in both directions.
     #[test]
     fn lpm4_interleaved_ops_match_reference(
-        ops in proptest::collection::vec((arb_prefix4(), any::<bool>(), any::<u32>()), 1..60),
-        probes in proptest::collection::vec(any::<u32>(), 1..30),
+        grow in proptest::collection::vec((any::<u32>(), arb_len(32), any::<u32>()), 24..48),
+        churn in proptest::collection::vec((any::<usize>(), any::<bool>(), any::<u32>()), 1..40),
+        seed in any::<u64>(),
     ) {
-        let mut trie: Lpm4<u32> = Lpm4::new();
-        let mut reference: std::collections::HashMap<Prefix4, u32> =
-            std::collections::HashMap::new();
-        for (p, is_insert, val) in ops {
-            if is_insert {
-                prop_assert_eq!(trie.insert(p, val), reference.insert(p, val), "insert {}", p);
-            } else {
-                prop_assert_eq!(trie.remove(p), reference.remove(&p), "remove {}", p);
-            }
-            prop_assert_eq!(trie.len(), reference.len());
-        }
-        for bits in &probes {
-            let addr = Ipv4Addr::from(*bits);
-            let expect = reference
-                .iter()
-                .filter(|(p, _)| p.contains(addr))
-                .max_by_key(|(p, _)| p.len())
-                .map(|(p, v)| (*p, *v));
-            let got = trie.longest_match(addr).map(|(p, v)| {
-                // Reconstruct the canonical stored prefix for comparison.
-                (Prefix4::new(addr, p.len()), *v)
-            });
-            prop_assert_eq!(got, expect, "probe {}", addr);
-        }
+        let grow: Vec<(Prefix4, u32)> = grow
+            .into_iter()
+            .map(|(bits, len, v)| (Prefix4::new(Ipv4Addr::from(bits), len), v))
+            .collect();
+        grow_churn_drain::<u32>(&grow, &churn, |oracle| {
+            let mut rng = seed;
+            (0..probe_count())
+                .map(|i| {
+                    let noise = splitmix(&mut rng) as u32;
+                    match oracle.0.get(i / 2 % oracle.0.len().max(1)) {
+                        Some((p, _)) if i % 2 == 1 => {
+                            Ipv4Addr::from(p.bits() | (noise & !mask32(p.len())))
+                        }
+                        _ => Ipv4Addr::from(noise),
+                    }
+                })
+                .collect()
+        });
+    }
+
+    /// IPv6 twin: the 128-bit key exercises multi-level stride chains,
+    /// path-compressed skips and the uniform-node encoding far more deeply.
+    #[test]
+    fn lpm6_interleaved_ops_match_reference(
+        grow in proptest::collection::vec((any::<u128>(), arb_len(128), any::<u32>()), 24..48),
+        churn in proptest::collection::vec((any::<usize>(), any::<bool>(), any::<u32>()), 1..40),
+        seed in any::<u64>(),
+    ) {
+        let grow: Vec<(Prefix6, u32)> = grow
+            .into_iter()
+            .map(|(bits, len, v)| (Prefix6::new(Ipv6Addr::from(bits), len), v))
+            .collect();
+        grow_churn_drain::<u128>(&grow, &churn, |oracle| {
+            let mut rng = seed;
+            (0..probe_count())
+                .map(|i| {
+                    let noise = (splitmix(&mut rng) as u128) << 64 | splitmix(&mut rng) as u128;
+                    match oracle.0.get(i / 2 % oracle.0.len().max(1)) {
+                        Some((p, _)) if i % 2 == 1 => {
+                            Ipv6Addr::from(p.bits() | (noise & !mask128(p.len())))
+                        }
+                        _ => Ipv6Addr::from(noise),
+                    }
+                })
+                .collect()
+        });
     }
 }

@@ -58,7 +58,7 @@ mod span;
 pub use crate::log::{log_enabled, log_message, set_log_level, set_log_sink, Level};
 pub use crate::metrics::{counter_add, gauge_max, hist_record, reset, snapshot};
 pub use crate::report::{CounterStat, GaugeStat, HistStat, MetricsReport, SpanStat};
-pub use crate::span::{current_span_path, enter_path, PathGuard, SpanGuard};
+pub use crate::span::{current_span_path, enter_path, enter_root, PathGuard, SpanGuard};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -91,6 +91,19 @@ pub fn enter_path(path: &str) -> PathGuard {
     PathGuard { prev: Some(prev) }
 }
 
+/// Detach the calling thread to the root span path until the guard drops.
+/// For work whose call site depends on the thread layout — a lazily built
+/// cache that whichever worker asks first fills — so its spans record
+/// under the same top-level path at any layout. Inert while the plane is
+/// disabled.
+pub fn enter_root() -> PathGuard {
+    if !crate::enabled() {
+        return PathGuard { prev: None };
+    }
+    let prev = PATH.with(|p| std::mem::take(&mut *p.borrow_mut()));
+    PathGuard { prev: Some(prev) }
+}
+
 impl Drop for PathGuard {
     fn drop(&mut self) {
         if let Some(prev) = self.prev.take() {

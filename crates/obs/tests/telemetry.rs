@@ -87,6 +87,29 @@ fn span_paths_nest_and_survive_fan_out() {
 }
 
 #[test]
+fn root_path_detaches_and_restores() {
+    let _lock = locked();
+    obs::reset();
+    obs::set_enabled(true);
+
+    {
+        let _stage = obs::span!("stage");
+        {
+            let _root = obs::enter_root();
+            let _build = obs::span!("cache-build");
+        }
+        assert_eq!(obs::current_span_path(), "stage", "path restored");
+        let _work = obs::span!("work");
+    }
+
+    let report = obs::snapshot();
+    obs::set_enabled(false);
+
+    let paths: Vec<&str> = report.spans.iter().map(|s| s.path.as_str()).collect();
+    assert_eq!(paths, ["cache-build", "stage", "stage/work"]);
+}
+
+#[test]
 fn disabled_plane_records_nothing() {
     let _lock = locked();
     obs::reset();

@@ -169,12 +169,6 @@ impl World {
 
         let toplist = TopList::new(web.sites.iter().map(|s| s.domain.clone()).collect());
 
-        // All announcements are in: freeze the RIB into the flattened
-        // multibit engine so every attribution pass runs on the fast path.
-        // Later churn (the faults plane's RIB timelines mutate a clone)
-        // invalidates the frozen tables and falls back to the radix trie.
-        rib.compile();
-
         World {
             config: config.clone(),
             registry,

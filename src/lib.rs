@@ -83,15 +83,15 @@
 //!
 //! ## The compiled LPM engine
 //!
-//! Per-AS attribution at routing-table scale runs on a compiled LPM path:
-//! world generation freezes the RIB's radix tries into flattened multibit
-//! tables ([`iputil::multibit`], Poptrie-style popcount-bitmap strides),
-//! and batched lookups walk them with interleaved software-prefetch lanes.
-//! This is on by default and purely a performance substitution — every
-//! scenario's report is byte-identical with it disabled
-//! ([`prelude::RunConfig::compiled_lpm`]`(false)` thaws back to the radix
-//! trie, which remains the mutable authority under RIB churn). See the
-//! `iputil` crate docs for the architecture and churn/fallback semantics.
+//! Per-AS attribution at routing-table scale runs on one LPM engine: each
+//! RIB family is a sorted prefix map whose lookups are answered by a
+//! flattened multibit table ([`iputil::multibit`], Poptrie-style
+//! popcount-bitmap strides), and batched lookups walk it with interleaved
+//! software-prefetch lanes. The table is built lazily on the first lookup
+//! after an announce or withdraw, so churn never leaves a stale or slower
+//! path behind — the next lookup pays one rebuild (milliseconds at
+//! routing-table scale). See the `iputil` crate docs for the architecture
+//! and rebuild costs.
 //!
 //! ## Spilling flow streams to disk
 //!
@@ -202,8 +202,8 @@ pub use flowmon;
 /// verified replay, and the `--spill` path behind million-subscriber runs.
 pub use flowstore;
 pub use happyeyeballs;
-/// IP primitives: prefixes, the radix-trie LPM authority and its compiled
-/// flattened-multibit twin, symbol interning, prefix-preserving
+/// IP primitives: prefixes, LPM tables answered by a lazily rebuilt
+/// flattened-multibit engine, symbol interning, prefix-preserving
 /// anonymization.
 pub use iputil;
 pub use ipv6view_core as core;
