@@ -317,6 +317,8 @@ fn crawl_site(
     }
 
     // --- Resource fetches (deduplicated by FQDN). ---
+    // The site's own registrable domain, split once for every comparison.
+    let site_key = world.psl.site_key(&site.domain);
     let mut resources = Vec::new();
     let mut seen = std::collections::HashSet::new();
     let mut any_v4_used = main_used == Family::V4;
@@ -349,7 +351,7 @@ fn crawl_site(
             resources.push(ResourceFetch {
                 fqdn: r.fqdn.clone(),
                 rtype: r.rtype,
-                first_party: world.psl.same_site(&r.fqdn, &site.domain),
+                first_party: world.psl.same_site_as(site_key, &r.fqdn),
                 has_a,
                 has_aaaa,
                 used,
@@ -360,7 +362,7 @@ fn crawl_site(
         }
     }
 
-    let offsite_landing = !world.psl.same_site(&final_fqdn, &site.domain);
+    let offsite_landing = !world.psl.same_site_as(site_key, &final_fqdn);
     SiteCrawl {
         rank: site.rank,
         domain: site.domain.clone(),

@@ -1,7 +1,7 @@
 //! The stub resolver: CNAME chains, failure semantics, reverse queries.
 
 use crate::name::Name;
-use crate::record::{QueryType, RecordData};
+use crate::record::RecordData;
 use crate::zone::{FailureMode, ZoneDb};
 use iputil::Family;
 use std::net::IpAddr;
@@ -185,6 +185,15 @@ impl<T: ResolveAddrs + ?Sized> ResolveAddrs for &T {
     }
 }
 
+/// What one resolution step found at a name.
+enum Hop<'a> {
+    Failed(FailureMode),
+    Alias(&'a Name),
+    Answers(Vec<IpAddr>),
+    NoData,
+    NxDomain,
+}
+
 /// A stub resolver over a [`ZoneDb`].
 #[derive(Debug, Clone, Copy)]
 pub struct Resolver<'a> {
@@ -206,52 +215,30 @@ impl<'a> Resolver<'a> {
     /// Resolve `name` to addresses of `family`, following CNAME chains.
     pub fn resolve(&self, name: &Name, family: Family) -> LookupOutcome {
         obs::counter_add("dns.queries", 1);
-        let qtype = match family {
-            Family::V4 => QueryType::A,
-            Family::V6 => QueryType::Aaaa,
-        };
         let mut chain = vec![name.clone()];
-        let mut current = name.clone();
+        let mut current = name;
         for _ in 0..=MAX_CNAME_DEPTH {
-            if let Some(mode) = self.db.failure_for(&current) {
-                return match mode {
-                    FailureMode::ServFail => LookupOutcome::ServFail,
-                    FailureMode::Timeout => LookupOutcome::Timeout,
-                };
-            }
-            // CNAME takes precedence over other data at a name.
-            if let Some(target) = self.db.cname_target(&current) {
-                if chain.contains(&target) {
-                    return LookupOutcome::ServFail; // loop
+            match self.hop(current, family) {
+                Hop::Failed(FailureMode::ServFail) => return LookupOutcome::ServFail,
+                Hop::Failed(FailureMode::Timeout) => return LookupOutcome::Timeout,
+                Hop::Alias(target) => {
+                    if chain.contains(target) {
+                        return LookupOutcome::ServFail; // loop
+                    }
+                    chain.push(target.clone());
+                    current = target;
                 }
-                chain.push(target.clone());
-                current = target;
-                continue;
-            }
-            let answers: Vec<IpAddr> = self
-                .db
-                .lookup(&current, qtype)
-                .into_iter()
-                .filter_map(|r| match r {
-                    RecordData::A(a) => Some(IpAddr::V4(a)),
-                    RecordData::Aaaa(a) => Some(IpAddr::V6(a)),
-                    _ => None,
-                })
-                .collect();
-            if !answers.is_empty() {
-                return LookupOutcome::Answers(AddrAnswer {
-                    addresses: answers,
-                    chain,
-                });
-            }
-            return if self.db.exists(&current) {
-                LookupOutcome::NoData {
-                    final_name: current,
-                    chain,
+                Hop::Answers(addresses) => {
+                    return LookupOutcome::Answers(AddrAnswer { addresses, chain })
                 }
-            } else {
-                LookupOutcome::NxDomain
-            };
+                Hop::NoData => {
+                    return LookupOutcome::NoData {
+                        final_name: current.clone(),
+                        chain,
+                    }
+                }
+                Hop::NxDomain => return LookupOutcome::NxDomain,
+            }
         }
         LookupOutcome::ServFail // chain too deep
     }
@@ -275,43 +262,50 @@ impl<'a> Resolver<'a> {
     }
 
     fn resolve_addrs_inner(&self, name: &Name, family: Family) -> AddrsOutcome {
-        let qtype = match family {
-            Family::V4 => QueryType::A,
-            Family::V6 => QueryType::Aaaa,
-        };
-        let mut current = name.clone();
+        let mut current = name;
         for _ in 0..=MAX_CNAME_DEPTH {
-            if let Some(mode) = self.db.failure_for(&current) {
-                return match mode {
-                    FailureMode::ServFail => AddrsOutcome::ServFail,
-                    FailureMode::Timeout => AddrsOutcome::Timeout,
-                };
+            match self.hop(current, family) {
+                Hop::Failed(FailureMode::ServFail) => return AddrsOutcome::ServFail,
+                Hop::Failed(FailureMode::Timeout) => return AddrsOutcome::Timeout,
+                Hop::Alias(target) => current = target,
+                Hop::Answers(addresses) => return AddrsOutcome::Answers(addresses),
+                Hop::NoData => return AddrsOutcome::NoData,
+                Hop::NxDomain => return AddrsOutcome::NxDomain,
             }
-            // CNAME takes precedence over other data at a name.
-            if let Some(target) = self.db.cname_target(&current) {
-                current = target;
-                continue;
-            }
-            let answers: Vec<IpAddr> = self
-                .db
-                .lookup(&current, qtype)
-                .into_iter()
-                .filter_map(|r| match r {
-                    RecordData::A(a) => Some(IpAddr::V4(a)),
-                    RecordData::Aaaa(a) => Some(IpAddr::V6(a)),
-                    _ => None,
-                })
-                .collect();
-            if !answers.is_empty() {
-                return AddrsOutcome::Answers(answers);
-            }
-            return if self.db.exists(&current) {
-                AddrsOutcome::NoData
-            } else {
-                AddrsOutcome::NxDomain
-            };
         }
         AddrsOutcome::ServFail // chain too deep or looping
+    }
+
+    /// One resolution step at `name`: one failure check, then one probe of
+    /// the zone for the name's records. An injected failure wins, then a
+    /// CNAME (which takes precedence over other data at a name), then the
+    /// addresses of `family`.
+    fn hop(&self, name: &Name, family: Family) -> Hop<'a> {
+        if let Some(mode) = self.db.failure_for(name) {
+            return Hop::Failed(mode);
+        }
+        let Some(records) = self.db.records(name) else {
+            return Hop::NxDomain;
+        };
+        if let Some(target) = records.iter().find_map(|r| match r {
+            RecordData::Cname(t) => Some(t),
+            _ => None,
+        }) {
+            return Hop::Alias(target);
+        }
+        let addresses: Vec<IpAddr> = records
+            .iter()
+            .filter_map(|r| match (r, family) {
+                (RecordData::A(a), Family::V4) => Some(IpAddr::V4(*a)),
+                (RecordData::Aaaa(a), Family::V6) => Some(IpAddr::V6(*a)),
+                _ => None,
+            })
+            .collect();
+        if addresses.is_empty() {
+            Hop::NoData
+        } else {
+            Hop::Answers(addresses)
+        }
     }
 
     /// Does the name (following CNAMEs) have any address of this family?

@@ -94,6 +94,12 @@ impl ZoneDb {
         self.records.contains_key(name)
     }
 
+    /// Every record at a name, in insertion order; `None` when the name
+    /// owns none (NXDOMAIN). No CNAME following, no failure simulation.
+    pub fn records(&self, name: &Name) -> Option<&[RecordData]> {
+        self.records.get(name).map(Vec::as_slice)
+    }
+
     /// Raw lookup of records of one type at a name (no CNAME following, no
     /// failure simulation — that is the resolver's job).
     pub fn lookup(&self, name: &Name, qtype: QueryType) -> Vec<RecordData> {

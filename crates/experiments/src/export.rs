@@ -14,8 +14,7 @@ use crate::session::Session;
 use flowmon::AnonymizingExporter;
 use iputil::anon::{Anonymizer, AnonymizerConfig};
 use ipv6view_core::classify::{classify_site, ClassCounts};
-use ipv6view_core::cloud::{hosted_fqdns, org_readiness, service_adoption};
-use ipv6view_core::influence::InfluenceReport;
+use ipv6view_core::cloud::{org_readiness, service_adoption};
 use serde::Serialize;
 use std::path::Path;
 
@@ -72,16 +71,16 @@ pub fn export_all(session: &mut Session, out_dir: &Path) -> std::io::Result<()> 
     write("sites.json", &sites)?;
     write("class_counts.json", &ClassCounts::from_report(report))?;
 
-    // 2. Influence metrics (span / median contribution).
-    let influence = InfluenceReport::compute(report, &session.world.psl);
-    write("influence_domains.json", &influence.domains)?;
+    // 2. Influence metrics (span / median contribution), from the session
+    //    cache the influence scenarios read.
+    write("influence_domains.json", &session.influence().domains)?;
 
-    // 3. Cloud datasets.
-    let fqdns = hosted_fqdns(report, &session.world.rib, &session.world.registry);
-    write("cloud_org_readiness.json", &org_readiness(&fqdns))?;
+    // 3. Cloud datasets, from the session's attribution cache.
+    let fqdns = session.hosted_fqdns();
+    write("cloud_org_readiness.json", &org_readiness(fqdns))?;
     write(
         "cloud_service_adoption.json",
-        &service_adoption(&fqdns, &cloudmodel::catalog::ServiceCatalog::paper()),
+        &service_adoption(fqdns, &cloudmodel::catalog::ServiceCatalog::paper()),
     )?;
 
     // 4. Scenario-owned datasets, registry-driven: each scenario's

@@ -103,12 +103,12 @@ fn main() {
         // `--check` (validate shapes only).
         "bench-snapshot" => bench_snapshot::run(bench_check),
         "export" => {
-            let mut session = Session::new(config);
+            let mut session = new_session(config);
             let dir = std::path::PathBuf::from("datasets");
             export_all(&mut session, &dir).expect("dataset export");
         }
         "all" => {
-            let mut session = Session::new(config);
+            let mut session = new_session(config);
             // Text mode renders and drops each report as it completes;
             // only --json (one array of every report) needs them retained.
             let mut reports: Vec<Report> = Vec::new();
@@ -166,7 +166,7 @@ fn main() {
         }
         name => match find(name) {
             Some(scenario) => {
-                let mut session = Session::new(config);
+                let mut session = new_session(config);
                 let mut report = {
                     let _span = obs::span!(scenario.name());
                     scenario.run(&mut session)
@@ -187,6 +187,19 @@ fn main() {
             None => unknown_experiment(name),
         },
     }
+}
+
+/// Build the session, rejecting a crawl list too small to generate a
+/// world from through [`usage`] rather than a world-gen panic.
+fn new_session(config: RunConfig) -> Session {
+    let min = worldgen::web::MIN_SITES;
+    if config.sites < min {
+        usage(&format!(
+            "--sites must be at least {min} (got {})",
+            config.sites
+        ));
+    }
+    Session::new(config)
 }
 
 /// The session's telemetry snapshot as pretty-printed JSON (`--metrics-json`).
@@ -243,7 +256,7 @@ fn usage(msg: &str) -> ! {
          flow records through sorted columnar day-parts under DIR instead of\n\
          memory; replays are digest-verified and reports stay byte-identical.\n\
          REPRO_LOG=off|error|warn|info|debug|trace filters progress\n\
-         diagnostics on stderr."
+         diagnostics on stderr. --sites must be at least 100."
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }

@@ -5,7 +5,7 @@ use crate::report::Report;
 use crate::session::Session;
 use dnssim::Name;
 use ipv6view_core::classify::{classify_site, ClassCounts, SiteClass};
-use ipv6view_core::influence::{InfluenceReport, TypeHeatmap};
+use ipv6view_core::influence::TypeHeatmap;
 use ipv6view_core::readiness::ReadinessBuckets;
 use ipv6view_core::report::{render_cdf, TextTable};
 use ipv6view_core::whatif::WhatIfCurve;
@@ -162,8 +162,7 @@ pub fn fig6(s: &mut Session) -> Report {
 pub fn fig7(s: &mut Session) -> Report {
     let mut r = Report::new("fig7");
     r.heading("Fig 7 — IPv4-only resources per IPv6-partial site");
-    let psl = s.world.psl.clone();
-    let inf = InfluenceReport::compute(s.latest_crawl(), &psl);
+    let inf = s.influence();
     let (c25, c50, c75) = inf.count_quantiles().expect("partial sites exist");
     let (f25, f50, f75) = inf.fraction_quantiles().expect("partial sites exist");
     r.compare("count p25", 3.0, c25);
@@ -191,8 +190,7 @@ pub fn fig7(s: &mut Session) -> Report {
 pub fn fig8(s: &mut Session) -> Report {
     let mut r = Report::new("fig8");
     r.heading("Fig 8 — span & median contribution of IPv4-only domains");
-    let psl = s.world.psl.clone();
-    let inf = InfluenceReport::compute(s.latest_crawl(), &psl);
+    let inf = s.influence();
     let spans: Vec<f64> = inf.domains.iter().map(|d| d.span as f64).collect();
     let contribs: Vec<f64> = inf.domains.iter().map(|d| d.median_contribution).collect();
     r.line(format!(
@@ -243,7 +241,6 @@ pub fn fig9(s: &mut Session) -> Report {
     let mut r = Report::new("fig9");
     r.heading("Fig 9 — categories of high-span IPv4-only domains");
     let scale = s.site_scale();
-    let psl = s.world.psl.clone();
     let category_of: HashMap<Name, DomainCategory> = s
         .world
         .web
@@ -251,7 +248,7 @@ pub fn fig9(s: &mut Session) -> Report {
         .iter()
         .map(|t| (t.domain.clone(), t.category))
         .collect();
-    let inf = InfluenceReport::compute(s.latest_crawl(), &psl);
+    let inf = s.influence();
     let min_span = ((100.0 * scale).ceil() as usize).max(2);
     let hh_count = inf.heavy_hitters(min_span).count();
     let cats = inf.heavy_hitter_categories(min_span, &category_of);
@@ -284,10 +281,9 @@ pub fn fig9(s: &mut Session) -> Report {
 pub fn fig10(s: &mut Session) -> Report {
     let mut r = Report::new("fig10");
     r.heading("Fig 10 — what-if: enabling IPv6 on IPv4-only domains by span");
-    let psl = s.world.psl.clone();
-    let inf = InfluenceReport::compute(s.latest_crawl(), &psl);
-    let curve = WhatIfCurve::compute(&inf);
     let scale = s.site_scale();
+    let inf = s.influence();
+    let curve = WhatIfCurve::compute(inf);
     let top500 = ((500.0 * scale).ceil() as usize).max(1);
     r.compare(
         format!("fraction full after top {top500} domains (paper: top 500)"),
@@ -320,8 +316,9 @@ pub fn fig10(s: &mut Session) -> Report {
 pub fn fig18(s: &mut Session) -> Report {
     let mut r = Report::new("fig18");
     r.heading("Fig 18 — top-20 IPv4-only domains × resource type");
-    let psl = s.world.psl.clone();
-    let hm = TypeHeatmap::compute(s.latest_crawl(), &psl, 20);
+    let e = s.world.latest_epoch();
+    s.crawl(e);
+    let hm = TypeHeatmap::compute(s.crawl_ref(e), &s.world.psl, 20);
     let mut header = vec!["domain".to_string(), "(any)".to_string()];
     header.extend(hm.types.iter().map(|t| t.label().to_string()));
     let mut t = TextTable::new(header);
@@ -398,8 +395,7 @@ pub fn ablation_firstparty(s: &mut Session) -> Report {
         "→ ignoring third-party resources overstates full readiness {:.1}×",
         fp_only / graded
     ));
-    let psl = s.world.psl.clone();
-    let inf = InfluenceReport::compute(s.latest_crawl(), &psl);
+    let inf = s.influence();
     r.compare(
         "% of partial sites partial due to first-party only",
         2.3,

@@ -5,6 +5,14 @@
 //! passes), so a sequence of scenarios — `repro all`, a registry sweep in a
 //! test, or an embedding application — pays for each artifact once.
 //!
+//! The server-side caches sit beside the crawl cache and read the latest
+//! epoch's crawl: [`Session::influence`] (the IPv4-only dependence
+//! analysis behind Fig 7–10 and the first-party ablation) and
+//! [`Session::hosted_fqdns`] (the cloud attribution behind Fig 11/12,
+//! Table 2/3 and the policy ablation). [`Session::crawl_ref`] and
+//! [`Session::hosted_fqdns_ref`] are `&self` twins of their builders, so a
+//! scenario can borrow the cached artifact and `world` together.
+//!
 //! Flow-derived experiments come in two flavors. The *streaming* caches
 //! ([`Session::client_analyses`], [`Session::as_rows`],
 //! [`Session::domain_rows`], [`Session::hourly_aggs`],
@@ -24,6 +32,8 @@ use flowmon::{Scope, ScopeFamilyAgg};
 use ipv6view_core::client::{
     analyze_agg, domain_fractions_from, AsAgg, AsFraction, DomainAgg, HourlyAgg, ResidenceAnalysis,
 };
+use ipv6view_core::cloud::{hosted_fqdns, HostedFqdn};
+use ipv6view_core::influence::InfluenceReport;
 use trafficgen::{
     paper_residences, synthesize_all, synthesize_profiles_with, ResidenceDataset, TrafficConfig,
 };
@@ -154,6 +164,23 @@ pub(crate) fn fmt_elapsed(elapsed: std::time::Duration) -> String {
     }
 }
 
+/// The crawl of `epoch` in its cache slot, run into the slot on first use.
+fn cached_crawl<'a>(
+    slot: &'a mut Option<CrawlReport>,
+    world: &World,
+    epoch: usize,
+) -> &'a CrawlReport {
+    slot.get_or_insert_with(|| {
+        obs::info!("[repro] crawling epoch {epoch} ...");
+        let t0 = std::time::Instant::now();
+        let _span = obs::span!("crawl", epoch = epoch);
+        let report = crawl_epoch(world, epoch, &CrawlConfig::default());
+        drop(_span);
+        obs::info!("[repro] crawl done in {}", fmt_elapsed(t0.elapsed()));
+        report
+    })
+}
+
 /// Everything the client-side figures read, computed in one streaming
 /// synthesis pass (no flow record survives its push).
 pub struct StreamedClient {
@@ -178,6 +205,8 @@ pub struct Session {
     pub config: RunConfig,
     crawls: Vec<Option<CrawlReport>>,
     crawl_mainpage_only: Option<CrawlReport>,
+    influence: Option<InfluenceReport>,
+    hosted: Option<Vec<HostedFqdn>>,
     traffic: Option<Vec<ResidenceDataset>>,
     streamed: Option<StreamedClient>,
     hourly: Option<Vec<(char, HourlyAgg)>>,
@@ -220,6 +249,8 @@ impl Session {
             config,
             crawls: (0..epochs).map(|_| None).collect(),
             crawl_mainpage_only: None,
+            influence: None,
+            hosted: None,
             traffic: None,
             streamed: None,
             hourly: None,
@@ -252,16 +283,7 @@ impl Session {
 
     /// Crawl (cached) of one epoch.
     pub fn crawl(&mut self, epoch: usize) -> &CrawlReport {
-        if self.crawls[epoch].is_none() {
-            obs::info!("[repro] crawling epoch {epoch} ...");
-            let t0 = std::time::Instant::now();
-            let _span = obs::span!("crawl", epoch = epoch);
-            let report = crawl_epoch(&self.world, epoch, &CrawlConfig::default());
-            drop(_span);
-            obs::info!("[repro] crawl done in {}", fmt_elapsed(t0.elapsed()));
-            self.crawls[epoch] = Some(report);
-        }
-        self.crawls[epoch].as_ref().expect("just filled")
+        cached_crawl(&mut self.crawls[epoch], &self.world, epoch)
     }
 
     /// Crawl of the latest epoch (Jul 2025).
@@ -280,6 +302,48 @@ impl Session {
             .expect("crawl(epoch) must run before crawl_ref(epoch)")
     }
 
+    /// Influence analysis of the latest crawl (cached): per-partial-site
+    /// IPv4-only dependence and per-domain span and contribution.
+    pub fn influence(&mut self) -> &InfluenceReport {
+        let e = self.world.latest_epoch();
+        let Session {
+            world,
+            crawls,
+            influence,
+            ..
+        } = self;
+        influence.get_or_insert_with(|| {
+            let crawl = cached_crawl(&mut crawls[e], world, e);
+            let _span = obs::span!("influence");
+            InfluenceReport::compute(crawl, &world.psl)
+        })
+    }
+
+    /// Every FQDN of the latest crawl attributed to its hosting cloud
+    /// (cached).
+    pub fn hosted_fqdns(&mut self) -> &[HostedFqdn] {
+        let e = self.world.latest_epoch();
+        let Session {
+            world,
+            crawls,
+            hosted,
+            ..
+        } = self;
+        hosted.get_or_insert_with(|| {
+            let crawl = cached_crawl(&mut crawls[e], world, e);
+            let _span = obs::span!("hosted-fqdns");
+            hosted_fqdns(crawl, &world.rib, &world.registry)
+        })
+    }
+
+    /// Shared-reference accessor for the already-attributed FQDNs (panics
+    /// if [`Session::hosted_fqdns`] has not run yet).
+    pub fn hosted_fqdns_ref(&self) -> &[HostedFqdn] {
+        self.hosted
+            .as_ref()
+            .expect("hosted_fqdns() must run before hosted_fqdns_ref()")
+    }
+
     /// Shared-reference accessor for already-synthesized traffic.
     pub fn traffic_ref(&self) -> &[ResidenceDataset] {
         self.traffic
@@ -289,17 +353,15 @@ impl Session {
 
     /// Main-page-only ablation crawl of the latest epoch.
     pub fn mainpage_crawl(&mut self) -> &CrawlReport {
-        if self.crawl_mainpage_only.is_none() {
+        self.crawl_mainpage_only.get_or_insert_with(|| {
             obs::info!("[repro] crawling latest epoch (main-page-only ablation) ...");
             let cfg = CrawlConfig {
                 click_links: false,
                 ..CrawlConfig::default()
             };
             let _span = obs::span!("crawl-mainpage");
-            let report = crawl_epoch(&self.world, self.world.latest_epoch(), &cfg);
-            self.crawl_mainpage_only = Some(report);
-        }
-        self.crawl_mainpage_only.as_ref().expect("just filled")
+            crawl_epoch(&self.world, self.world.latest_epoch(), &cfg)
+        })
     }
 
     /// The nine-month traffic run at 1/1000 sampling, fully materialized.

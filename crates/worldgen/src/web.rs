@@ -243,7 +243,16 @@ impl CumTable {
     }
 }
 
+/// The smallest crawl list [`generate_web`] accepts: below it the
+/// calibrated popularity buckets and reuse pools are too small to mean
+/// anything.
+pub const MIN_SITES: usize = 100;
+
 /// Generate the complete web (sites, third parties, epochs).
+///
+/// # Panics
+/// Panics when `num_sites` is below [`MIN_SITES`] or `num_epochs` is
+/// outside `1..=3`.
 pub fn generate_web<R: Rng + ?Sized>(
     rng: &mut R,
     cal: &Calibration,
@@ -252,7 +261,7 @@ pub fn generate_web<R: Rng + ?Sized>(
     namegen: &mut NameGenerator,
     clouds: &mut CloudRuntime,
 ) -> WebWorld {
-    assert!(num_sites >= 100, "world too small to be meaningful");
+    assert!(num_sites >= MIN_SITES, "world too small to be meaningful");
     assert!((1..=3).contains(&num_epochs), "1..=3 epochs supported");
 
     let third_parties = build_third_party_pool(rng, cal, num_sites, num_epochs, namegen);
