@@ -20,8 +20,10 @@
 //!   later for cloud service identification) and both resolved addresses
 //!   (used for BGP attribution).
 //!
-//! Crawling is deterministic *and* parallel: each site derives its own RNG
-//! from `(seed, rank)`, so results are identical regardless of thread count.
+//! Crawling is deterministic *and* parallel: the sites go through the
+//! suite's one work-stealing fan-out ([`obs::par::fan_out`]) over
+//! [`CrawlConfig::threads`] workers, and each site derives its own RNG from
+//! `(seed, rank)`, so results are identical regardless of thread count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -143,7 +145,7 @@ pub struct CrawlConfig {
     /// Happy Eyeballs parameters.
     pub he: HappyEyeballsConfig,
     /// Number of worker threads (1 = sequential; results are identical
-    /// either way).
+    /// either way). Defaults to [`obs::par::default_threads`].
     pub threads: usize,
 }
 
@@ -155,9 +157,7 @@ impl Default for CrawlConfig {
             click_links: true,
             v6_degraded_rate: 0.116,
             he: HappyEyeballsConfig::default(),
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get().min(8))
-                .unwrap_or(1),
+            threads: obs::par::default_threads(),
         }
     }
 }
@@ -165,38 +165,17 @@ impl Default for CrawlConfig {
 /// Maximum redirect hops before declaring a loop.
 const MAX_REDIRECTS: usize = 5;
 
-/// Crawl one epoch of the world.
+/// Crawl one epoch of the world: every site, fanned out over
+/// `config.threads` workers, in rank order.
 pub fn crawl_epoch(world: &World, epoch: usize, config: &CrawlConfig) -> CrawlReport {
     let state = &world.web.epochs[epoch];
-    let sites = &world.web.sites;
-    let n = sites.len();
-    let threads = config.threads.max(1);
-
-    let mut results: Vec<Option<SiteCrawl>> = Vec::with_capacity(n);
-    results.resize_with(n, || None);
-
-    if threads == 1 {
-        for (i, slot) in results.iter_mut().enumerate() {
-            *slot = Some(crawl_site(world, state, i, config));
-        }
-    } else {
-        let chunk = n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (t, slice) in results.chunks_mut(chunk).enumerate() {
-                let base = t * chunk;
-                scope.spawn(move || {
-                    for (off, slot) in slice.iter_mut().enumerate() {
-                        *slot = Some(crawl_site(world, state, base + off, config));
-                    }
-                });
-            }
-        });
-    }
-
+    let sites = (0..world.web.sites.len()).collect();
     CrawlReport {
         epoch_label: state.label.clone(),
         epoch,
-        sites: results.into_iter().map(|r| r.expect("filled")).collect(),
+        sites: obs::par::fan_out(sites, config.threads, |_, i| {
+            crawl_site(world, state, i, config)
+        }),
     }
 }
 
@@ -453,34 +432,35 @@ mod tests {
 
     #[test]
     fn deterministic_and_thread_count_independent() {
-        let w = world();
+        // 1 003 sites is a multiple of none of the thread counts, so every
+        // layout leaves some worker a ragged share.
+        let w = World::generate(&WorldConfig {
+            num_sites: 1_003,
+            ..WorldConfig::small()
+        });
         let e = w.latest_epoch();
-        let seq = crawl_epoch(
-            &w,
-            e,
-            &CrawlConfig {
-                threads: 1,
-                ..CrawlConfig::default()
-            },
-        );
-        let par = crawl_epoch(
-            &w,
-            e,
-            &CrawlConfig {
-                threads: 4,
-                ..CrawlConfig::default()
-            },
-        );
-        for (a, b) in seq.sites.iter().zip(&par.sites) {
-            assert_eq!(a.domain, b.domain);
-            match (&a.outcome, &b.outcome) {
-                (Ok(x), Ok(y)) => {
-                    assert_eq!(x.final_fqdn, y.final_fqdn);
-                    assert_eq!(x.main_used, y.main_used);
-                    assert_eq!(x.resources.len(), y.resources.len());
-                }
-                (Err(x), Err(y)) => assert_eq!(x, y),
-                _ => panic!("outcome mismatch for {}", a.domain),
+        let crawl_json = |threads: usize| -> Vec<String> {
+            let report = crawl_epoch(
+                &w,
+                e,
+                &CrawlConfig {
+                    threads,
+                    ..CrawlConfig::default()
+                },
+            );
+            report
+                .sites
+                .iter()
+                .map(|s| serde_json::to_string(s).expect("SiteCrawl serializes"))
+                .collect()
+        };
+        let seq = crawl_json(1);
+        assert_eq!(seq.len(), 1_003);
+        for threads in [2, 3, 7] {
+            let par = crawl_json(threads);
+            assert_eq!(seq.len(), par.len());
+            for (rank, (a, b)) in seq.iter().zip(&par).enumerate() {
+                assert_eq!(a, b, "site {rank} differs at {threads} threads");
             }
         }
     }

@@ -19,10 +19,10 @@
 //! (1/5th of the paper's 100k) and scale rank-dependent thresholds
 //! accordingly; `--full` switches to the paper's full scale.
 //!
-//! `--threads` fans residences (and ISPs in sweeps) over worker threads;
-//! `--day-threads` additionally fans the days inside one residence. Output
-//! is byte-identical at any combination — the flags only trade memory
-//! (day buffers) for wall-clock. Numeric flags accept both `--sites N`
+//! `--threads` fans the crawl's sites, residences (and ISPs in sweeps),
+//! long-tail days and subscriber shards over worker threads;
+//! `--day-threads` additionally fans the days inside one residence. Output is byte-identical at any combination — the
+//! flags only trade memory (day buffers) for wall-clock. Numeric flags accept both `--sites N`
 //! and `--sites=N`.
 
 use experiments::{append_metrics, export_all, find, registry, Report, RunConfig, Session};
@@ -247,10 +247,11 @@ fn usage(msg: &str) -> ! {
          paper order; `export` writes the JSON datasets; `bench-snapshot`\n\
          runs the standing perf probes and appends timestamped snapshots to\n\
          BENCH_*.json (--check validates the files without writing). Numeric\n\
-         flags accept `--flag N` and `--flag=N`. --threads fans\n\
-         residences/ISPs over N workers, --day-threads fans days inside a\n\
-         residence; output is identical at any combination. --json emits the\n\
-         structured report. --metrics appends a telemetry section (stage\n\
+         flags accept `--flag N` and `--flag=N`. --threads fans crawl\n\
+         sites, residences/ISPs, long-tail days and subscriber shards over N\n\
+         workers, --day-threads fans days inside a residence; output is\n\
+         identical at any combination. --json emits the structured\n\
+         report. --metrics appends a telemetry section (stage\n\
          spans, pipeline counters, flow-shape histograms); --metrics-json\n\
          prints only the raw metrics snapshot as JSON. --spill DIR streams\n\
          flow records through sorted columnar day-parts under DIR instead of\n\

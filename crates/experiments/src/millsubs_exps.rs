@@ -16,10 +16,11 @@ use crate::session::Session;
 use flowmon::sink::FlowSink;
 use flowmon::FlowRecord;
 use ipv6view_core::report::TextTable;
+use obs::par::fan_out_ordered;
 use serde::Serialize;
 use std::path::PathBuf;
 use trafficgen::{
-    fan_out, num_shards, shard_day_records, subscriber_of_src, synthesize_subscribers_into,
+    shard_day_records, shard_tasks, subscriber_of_src, synthesize_subscribers_into,
     SubscriberTrafficConfig,
 };
 use worldgen::{World, WorldConfig};
@@ -200,29 +201,25 @@ fn spill_run(
     if let Err(e) = flowstore::fresh_dir(dir) {
         panic!("clearing spill dir: {e}");
     }
-    let shards = num_shards(world, cfg);
-    let tasks: Vec<(u32, usize)> = (0..cfg.num_days)
-        .flat_map(|day| (0..shards).map(move |shard| (day, shard)))
-        .collect();
+    let tasks = shard_tasks(world, cfg);
     let mut live = flowstore::DigestSink::new();
     let mut writer = flowstore::PartWriter::new();
     let mut metas = Vec::with_capacity(tasks.len());
-    // Same chunked fan-out as the in-memory path: one chunk of tasks in
-    // flight, flushed (digested + written) in canonical day-major order.
-    let chunk = (cfg.threads * 2).max(1);
-    for window in tasks.chunks(chunk) {
-        let buffers = fan_out(window.to_vec(), cfg.threads, |_, (day, shard)| {
-            shard_day_records(world, cfg, day, shard)
-        });
-        for ((day, shard), records) in window.iter().zip(buffers) {
+    // Same ordered fan-out as the in-memory path: at most 2 × threads tasks
+    // in flight, flushed (digested + written) in canonical day-major order.
+    fan_out_ordered(
+        tasks,
+        cfg.threads,
+        |_, (day, shard)| (day, shard, shard_day_records(world, cfg, day, shard)),
+        |_, (day, shard, records)| {
             live.accept_batch(&records);
-            let path = dir.join(flowstore::part_file_name(*shard as u64, *day as u64, 0));
-            match writer.write(&path, *shard as u64, *day as u64, 0, &records) {
+            let path = dir.join(flowstore::part_file_name(shard as u64, day as u64, 0));
+            match writer.write(&path, shard as u64, day as u64, 0, &records) {
                 Ok(meta) => metas.push(meta),
                 Err(e) => panic!("writing part {}: {e}", path.display()),
             }
-        }
-    }
+        },
+    );
     obs::info!(
         "[repro] million-subs spilled {} parts to {}",
         metas.len(),
@@ -297,11 +294,7 @@ fn million_subs_report_for(params: &MillionSubsParams) -> Report {
 /// (50 subscribers per site; the paper-scale run targets 1M+), and
 /// `--spill DIR` bounds peak RSS to one in-flight day-part per worker.
 pub fn million_subs(s: &mut Session) -> Report {
-    let threads = s.config.threads.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get().min(8))
-            .unwrap_or(1)
-    });
+    let threads = s.config.threads.unwrap_or_else(obs::par::default_threads);
     let params = MillionSubsParams {
         seed: s.world.config.seed,
         subscribers: s.world.web.sites.len() * 50,

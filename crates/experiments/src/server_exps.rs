@@ -418,7 +418,7 @@ pub fn ablation_he(s: &mut Session) -> Report {
     for rate in [0.0, 0.05, 0.116, 0.25] {
         let cfg = CrawlConfig {
             v6_degraded_rate: rate,
-            ..CrawlConfig::default()
+            ..s.crawl_config()
         };
         let report = crawl_epoch(&s.world, epoch, &cfg);
         let c = ClassCounts::from_report(&report);
@@ -459,11 +459,7 @@ pub fn robustness(s: &mut Session) -> Report {
             calibration: worldgen::Calibration::default(),
         };
         let world = World::generate(&cfg);
-        let report = crawlsim::crawl_epoch(
-            &world,
-            world.latest_epoch(),
-            &crawlsim::CrawlConfig::default(),
-        );
+        let report = crawlsim::crawl_epoch(&world, world.latest_epoch(), &s.crawl_config());
         let c = ClassCounts::from_report(&report);
         v4.push(c.pct_of_connected(c.v4_only));
         partial.push(c.pct_of_connected(c.partial));

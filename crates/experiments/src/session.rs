@@ -56,7 +56,8 @@ pub struct RunConfig {
     pub seed: u64,
     /// Traffic duration in days (the paper observes ~273).
     pub days: u32,
-    /// `--threads` override for every synthesis pass (`None` = default).
+    /// `--threads` override for every synthesis pass and crawl
+    /// (`None` = default).
     pub threads: Option<usize>,
     /// `--day-threads` override (`None` = default).
     pub day_threads: Option<usize>,
@@ -112,7 +113,8 @@ impl RunConfig {
         self
     }
 
-    /// Fan synthesis passes over `threads` workers (output-invariant).
+    /// Fan synthesis passes and crawls over `threads` workers
+    /// (output-invariant).
     pub fn threads(mut self, threads: usize) -> RunConfig {
         self.threads = Some(threads);
         self
@@ -169,12 +171,13 @@ fn cached_crawl<'a>(
     slot: &'a mut Option<CrawlReport>,
     world: &World,
     epoch: usize,
+    config: &CrawlConfig,
 ) -> &'a CrawlReport {
     slot.get_or_insert_with(|| {
         obs::info!("[repro] crawling epoch {epoch} ...");
         let t0 = std::time::Instant::now();
         let _span = obs::span!("crawl", epoch = epoch);
-        let report = crawl_epoch(world, epoch, &CrawlConfig::default());
+        let report = crawl_epoch(world, epoch, config);
         drop(_span);
         obs::info!("[repro] crawl done in {}", fmt_elapsed(t0.elapsed()));
         report
@@ -281,9 +284,21 @@ impl Session {
         cfg
     }
 
+    /// The base crawl configuration of this session: the paper's crawler
+    /// with the `threads` override. Every crawl the experiments run starts
+    /// from this; results are identical at any thread count.
+    pub fn crawl_config(&self) -> CrawlConfig {
+        let mut cfg = CrawlConfig::default();
+        if let Some(t) = self.config.threads {
+            cfg.threads = t.max(1);
+        }
+        cfg
+    }
+
     /// Crawl (cached) of one epoch.
     pub fn crawl(&mut self, epoch: usize) -> &CrawlReport {
-        cached_crawl(&mut self.crawls[epoch], &self.world, epoch)
+        let cfg = self.crawl_config();
+        cached_crawl(&mut self.crawls[epoch], &self.world, epoch, &cfg)
     }
 
     /// Crawl of the latest epoch (Jul 2025).
@@ -306,6 +321,7 @@ impl Session {
     /// IPv4-only dependence and per-domain span and contribution.
     pub fn influence(&mut self) -> &InfluenceReport {
         let e = self.world.latest_epoch();
+        let cfg = self.crawl_config();
         let Session {
             world,
             crawls,
@@ -313,7 +329,7 @@ impl Session {
             ..
         } = self;
         influence.get_or_insert_with(|| {
-            let crawl = cached_crawl(&mut crawls[e], world, e);
+            let crawl = cached_crawl(&mut crawls[e], world, e, &cfg);
             let _span = obs::span!("influence");
             InfluenceReport::compute(crawl, &world.psl)
         })
@@ -323,6 +339,7 @@ impl Session {
     /// (cached).
     pub fn hosted_fqdns(&mut self) -> &[HostedFqdn] {
         let e = self.world.latest_epoch();
+        let cfg = self.crawl_config();
         let Session {
             world,
             crawls,
@@ -330,7 +347,7 @@ impl Session {
             ..
         } = self;
         hosted.get_or_insert_with(|| {
-            let crawl = cached_crawl(&mut crawls[e], world, e);
+            let crawl = cached_crawl(&mut crawls[e], world, e, &cfg);
             let _span = obs::span!("hosted-fqdns");
             hosted_fqdns(crawl, &world.rib, &world.registry)
         })
@@ -353,12 +370,12 @@ impl Session {
 
     /// Main-page-only ablation crawl of the latest epoch.
     pub fn mainpage_crawl(&mut self) -> &CrawlReport {
+        let cfg = CrawlConfig {
+            click_links: false,
+            ..self.crawl_config()
+        };
         self.crawl_mainpage_only.get_or_insert_with(|| {
             obs::info!("[repro] crawling latest epoch (main-page-only ablation) ...");
-            let cfg = CrawlConfig {
-                click_links: false,
-                ..CrawlConfig::default()
-            };
             let _span = obs::span!("crawl-mainpage");
             crawl_epoch(&self.world, self.world.latest_epoch(), &cfg)
         })

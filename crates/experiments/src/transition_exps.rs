@@ -188,7 +188,7 @@ pub struct CgnSweepRow {
 
 /// Run the pool-size sweep: one ISP (shared, cross-day gateway) per
 /// capacity, identical subscriber demand, fanned out via the shared
-/// [`trafficgen::fan_out`] machinery inside [`synthesize_isps`].
+/// [`obs::par::fan_out`] machinery inside [`synthesize_isps`].
 /// Deterministic in `(world seed, days, subscribers)` and invariant to
 /// `--threads` / `--day-threads`.
 pub fn cgn_sweep_rows(

@@ -1,7 +1,7 @@
 //! Deterministic telemetry plane for the ipv6view pipeline.
 //!
 //! A hand-rolled (offline build — no `tracing`/`metrics` crates) subsystem
-//! with three surfaces:
+//! with four surfaces:
 //!
 //! 1. **Spans** — scoped wall-clock timers with parent/child nesting, created
 //!    with the [`span!`] macro. Each thread keeps its own aggregate per span
@@ -14,6 +14,11 @@
 //! 3. **Export** — [`snapshot`] produces a [`MetricsReport`] whose field
 //!    order is fully determined by metric names, so two runs of the same
 //!    workload agree byte-for-byte on everything except wall-clock timings.
+//! 4. **Fan-out** — [`par::fan_out`] and [`par::fan_out_ordered`], the one
+//!    work-stealing thread fan-out every parallel stage of the suite runs
+//!    on. Its workers inherit the spawning thread's span path, so the set
+//!    of span paths is the same at any thread count; [`par::default_threads`]
+//!    is the suite's default worker count.
 //!
 //! # Determinism contract
 //!
@@ -52,13 +57,14 @@
 
 mod log;
 mod metrics;
+pub mod par;
 mod report;
 mod span;
 
 pub use crate::log::{log_enabled, log_message, set_log_level, set_log_sink, Level};
 pub use crate::metrics::{counter_add, gauge_max, hist_record, reset, snapshot};
 pub use crate::report::{CounterStat, GaugeStat, HistStat, MetricsReport, SpanStat};
-pub use crate::span::{current_span_path, enter_path, enter_root, PathGuard, SpanGuard};
+pub use crate::span::{enter_root, SpanGuard};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

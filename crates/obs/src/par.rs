@@ -1,28 +1,39 @@
 //! Deterministic fan-out over scoped worker threads.
 //!
-//! Every parallel axis of the suite — residences, days inside a residence,
-//! ISPs in a provider sweep, subscriber shards — uses this one primitive
-//! instead of growing per-call-site thread pools. The determinism contract
-//! is the caller's: `f` must derive all randomness from its index argument
-//! alone, so the result vector is byte-identical at any thread count.
+//! Every parallel stage of the suite — the crawl's sites, residences, days
+//! inside a residence, ISPs in a provider sweep, subscriber shards — uses
+//! this one primitive instead of growing per-call-site thread pools. It
+//! lives in `obs` because it is the one place workers must inherit the
+//! spawning thread's span path (see the `span` module). The determinism
+//! contract is the caller's: a task must derive all randomness from its
+//! index argument alone, so the results are byte-identical at any thread
+//! count.
 //!
 //! Scheduling is **work-stealing**: workers claim task indices from one
 //! shared atomic counter over the canonical task list, so a worker that
-//! drew cheap items keeps pulling instead of idling the way the old static
-//! round-robin split did. Completion order varies run to run; the *output*
-//! does not — results land in input-order slots, and the caller's
-//! index-derived seeding makes each result independent of which worker
-//! computed it.
+//! drew cheap items keeps pulling instead of idling the way a static split
+//! does. Completion order varies run to run; the *output* does not —
+//! results are returned (or, in [`fan_out_ordered`], consumed) in task
+//! order, and the caller's index-derived seeding makes each result
+//! independent of which worker computed it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+/// The default worker count: the CPUs this process may run on, capped at
+/// eight (beyond that the suite's stages stop scaling). One when the
+/// platform cannot say.
+pub fn default_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get().min(8))
+        .unwrap_or(1)
+}
 
 /// Fan `items` out over up to `threads` scoped workers, returning results
 /// in input order. Workers claim the next unstarted index from a shared
 /// atomic queue (work-stealing); `threads <= 1` runs inline.
 /// Thread-count invariance is the *caller's* contract: `f` must derive all
-/// randomness from its index argument alone — every call site (residences,
-/// days, ISPs, shards) seeds its RNG from exactly that.
+/// randomness from its index argument alone.
 pub fn fan_out<T: Send, R: Send>(
     items: Vec<T>,
     threads: usize,
@@ -49,13 +60,13 @@ pub fn fan_out<T: Send, R: Send>(
     // Telemetry spans opened inside `f` must nest under the caller's span
     // path, not start fresh per worker thread — otherwise the set of span
     // paths (and per-path counts) would depend on the thread layout.
-    let span_parent = obs::current_span_path();
+    let span_parent = crate::span::current_span_path();
     let span_parent = &span_parent;
-    let mut results: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
+    let results: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|worker| {
                 scope.spawn(move || {
-                    let _span_path = obs::enter_path(span_parent);
+                    let _span_path = crate::span::enter_path(span_parent);
                     let mut done: Vec<(usize, R)> = Vec::with_capacity(n / threads + 1);
                     // Tasks a static split would have given other workers.
                     // Diagnostic only: steal counts are scheduling-dependent,
@@ -76,7 +87,7 @@ pub fn fan_out<T: Send, R: Send>(
                         }
                         done.push((i, f(i, x)));
                     }
-                    obs::debug!(
+                    crate::debug!(
                         "fan_out worker {worker}/{threads}: {} tasks ({stolen} stolen vs static split)",
                         done.len()
                     );
@@ -92,16 +103,33 @@ pub fn fan_out<T: Send, R: Send>(
             })
             .collect()
     });
-    // Scatter the per-worker completions back into input order.
-    let mut slots: Vec<Option<R>> = Vec::new();
-    slots.resize_with(n, || None);
-    for (i, r) in results.drain(..).flatten() {
-        slots[i] = Some(r);
+    // Put the per-worker completions back into input order.
+    let mut done: Vec<(usize, R)> = results.into_iter().flatten().collect();
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
+/// Fan `tasks` out like [`fan_out`], but hand each result to `consume` in
+/// task order as soon as its window completes, so at most `2 × threads`
+/// results are alive at once however long the task list is. Streaming
+/// stages use this to flush buffered work (days, shards) to a sink in
+/// canonical order with memory bounded by the window, not the run.
+/// `threads <= 1` produces and consumes one task at a time, inline.
+pub fn fan_out_ordered<T: Send, R: Send>(
+    tasks: Vec<T>,
+    threads: usize,
+    produce: impl Fn(usize, T) -> R + Sync,
+    mut consume: impl FnMut(usize, R),
+) {
+    let threads = threads.max(1);
+    let window = if threads == 1 { 1 } else { 2 * threads };
+    let mut tasks = tasks.into_iter().enumerate().peekable();
+    while tasks.peek().is_some() {
+        let chunk: Vec<(usize, T)> = tasks.by_ref().take(window).collect();
+        for (i, r) in fan_out(chunk, threads, |_, (i, t)| (i, produce(i, t))) {
+            consume(i, r);
+        }
     }
-    slots
-        .into_iter()
-        .map(|s| s.expect("worker filled every slot"))
-        .collect()
 }
 
 #[cfg(test)]
@@ -165,5 +193,36 @@ mod tests {
             })
         });
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn ordered_fan_out_keeps_order_and_bounds_in_flight() {
+        for threads in [1, 3, 8] {
+            // Produced but not yet consumed; the high-water mark is the
+            // window the ordered fan-out promises.
+            let in_flight = AtomicUsize::new(0);
+            let peak = AtomicUsize::new(0);
+            let mut seen = Vec::new();
+            fan_out_ordered(
+                (0..50u64).collect(),
+                threads,
+                |i, x| {
+                    let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+                    peak.fetch_max(now, Ordering::SeqCst);
+                    (i, x * 3)
+                },
+                |i, (idx, tripled)| {
+                    in_flight.fetch_sub(1, Ordering::SeqCst);
+                    assert_eq!(i, idx);
+                    seen.push(tripled);
+                },
+            );
+            assert_eq!(seen, (0..50).map(|x| x * 3).collect::<Vec<u64>>());
+            let peak = peak.load(Ordering::SeqCst);
+            assert!(
+                (1..=2 * threads).contains(&peak),
+                "{peak} results in flight at {threads} threads"
+            );
+        }
     }
 }

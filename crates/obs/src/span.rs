@@ -9,7 +9,7 @@
 //! [`enter_path`] exist for exactly that seam: the spawning side captures its
 //! path before the fan-out and each worker re-enters it, so span paths (and
 //! per-path counts) are identical whether the work ran inline or on eight
-//! threads.
+//! threads. [`crate::par::fan_out`] is the one caller of that seam.
 
 use std::cell::RefCell;
 use std::time::Instant;
@@ -67,7 +67,7 @@ impl Drop for SpanGuard {
 /// The calling thread's current span nesting path (`""` when no span is
 /// open or the plane is disabled). Capture this before a fan-out and hand it
 /// to each worker via [`enter_path`].
-pub fn current_span_path() -> String {
+pub(crate) fn current_span_path() -> String {
     if !crate::enabled() {
         return String::new();
     }
@@ -76,14 +76,14 @@ pub fn current_span_path() -> String {
 
 /// Guard restoring the previous span path on drop; see [`enter_path`].
 #[must_use = "the inherited span path is dropped with the guard"]
-pub struct PathGuard {
+pub(crate) struct PathGuard {
     prev: Option<String>,
 }
 
 /// Adopt `path` as the calling thread's span nesting path, restoring the
 /// previous path when the guard drops. Inert when `path` is empty or the
 /// plane is disabled.
-pub fn enter_path(path: &str) -> PathGuard {
+pub(crate) fn enter_path(path: &str) -> PathGuard {
     if !crate::enabled() || path.is_empty() {
         return PathGuard { prev: None };
     }
@@ -96,7 +96,8 @@ pub fn enter_path(path: &str) -> PathGuard {
 /// cache that whichever worker asks first fills — so its spans record
 /// under the same top-level path at any layout. Inert while the plane is
 /// disabled.
-pub fn enter_root() -> PathGuard {
+#[must_use = "the root path is left when the guard drops"]
+pub fn enter_root() -> impl Drop {
     if !crate::enabled() {
         return PathGuard { prev: None };
     }
@@ -109,5 +110,32 @@ impl Drop for PathGuard {
         if let Some(prev) = self.prev.take() {
             PATH.with(|p| *p.borrow_mut() = prev);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn root_path_detaches_and_restores() {
+        crate::reset();
+        crate::set_enabled(true);
+
+        {
+            let _stage = crate::span!("stage");
+            {
+                let _root = enter_root();
+                let _build = crate::span!("cache-build");
+            }
+            assert_eq!(current_span_path(), "stage", "path restored");
+            let _work = crate::span!("work");
+        }
+
+        let report = crate::snapshot();
+        crate::set_enabled(false);
+
+        let paths: Vec<&str> = report.spans.iter().map(|s| s.path.as_str()).collect();
+        assert_eq!(paths, ["cache-build", "stage", "stage/work"]);
     }
 }

@@ -60,19 +60,15 @@ fn span_paths_nest_and_survive_fan_out() {
 
     {
         let _stage = obs::span!("stage");
-        let parent = obs::current_span_path();
-        assert_eq!(parent, "stage");
-        std::thread::scope(|scope| {
-            for _ in 0..3 {
-                let parent = parent.clone();
-                scope.spawn(move || {
-                    let _inherit = obs::enter_path(&parent);
-                    let _work = obs::span!("work", item = 7);
-                });
-            }
+        // Three tasks on three workers: each worker thread starts with an
+        // empty span path and must inherit "stage" from the fan-out.
+        obs::par::fan_out((0..3).collect(), 3, |_, item: u32| {
+            let _work = obs::span!("work", item = item);
         });
         // Inline (threads=1) shape: same path, no inheritance needed.
-        let _work = obs::span!("work");
+        obs::par::fan_out(vec![7u32], 1, |_, item| {
+            let _work = obs::span!("work", item = item);
+        });
     }
 
     let report = obs::snapshot();
@@ -84,29 +80,6 @@ fn span_paths_nest_and_survive_fan_out() {
         .map(|s| (s.path.as_str(), s.count))
         .collect();
     assert_eq!(paths, [("stage", 1), ("stage/work", 4)]);
-}
-
-#[test]
-fn root_path_detaches_and_restores() {
-    let _lock = locked();
-    obs::reset();
-    obs::set_enabled(true);
-
-    {
-        let _stage = obs::span!("stage");
-        {
-            let _root = obs::enter_root();
-            let _build = obs::span!("cache-build");
-        }
-        assert_eq!(obs::current_span_path(), "stage", "path restored");
-        let _work = obs::span!("work");
-    }
-
-    let report = obs::snapshot();
-    obs::set_enabled(false);
-
-    let paths: Vec<&str> = report.spans.iter().map(|s| s.path.as_str()).collect();
-    assert_eq!(paths, ["cache-build", "stage", "stage/work"]);
 }
 
 #[test]

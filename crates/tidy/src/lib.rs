@@ -25,6 +25,7 @@
 //! | `undocumented-unsafe` | every `unsafe` carries an adjacent `// SAFETY:` comment |
 //! | `raw-stderr` | diagnostics go through `obs::log`, not `eprintln!` |
 //! | `unchecked-env` | no `std::env::var` outside `obs::log` and the `repro` CLI |
+//! | `raw-thread` | no `thread::scope`/`thread::spawn`/`available_parallelism` outside `obs::par` |
 //! | `unwrap-ratchet` | per-crate `.unwrap()`/`.expect(` counts may only go down |
 //!
 //! # Suppression

@@ -7,49 +7,14 @@
 //! data) and the `repro` CLI entry point (which turns flags and env into
 //! an explicit `RunConfig`).
 
-use super::Lint;
-use crate::source::SourceFile;
-use crate::Finding;
-
-const ALLOWED_FILES: [&str; 2] = ["crates/obs/src/log.rs", "crates/experiments/src/main.rs"];
-
-const PATTERNS: [&str; 3] = ["env::var", "env::vars", "env::var_os"];
+use super::banned::Banned;
 
 /// See the module docs.
-pub struct UncheckedEnv;
-
-impl Lint for UncheckedEnv {
-    fn name(&self) -> &'static str {
-        "unchecked-env"
-    }
-
-    fn description(&self) -> &'static str {
-        "std::env::var outside obs::log and the repro CLI entry point"
-    }
-
-    fn check_file(&mut self, file: &SourceFile, sink: &mut Vec<Finding>) {
-        if ALLOWED_FILES.contains(&file.rel_path.as_str()) || file.is_test_file {
-            return;
-        }
-        for (idx, line) in file.code.iter().enumerate() {
-            let lineno = idx + 1;
-            if file.is_test_line(lineno) {
-                continue;
-            }
-            for pat in PATTERNS {
-                if line.contains(pat) {
-                    sink.push(Finding {
-                        lint: self.name(),
-                        file: file.rel_path.clone(),
-                        line: lineno,
-                        message: format!(
-                            "`{pat}` reads ambient environment — thread the value through \
-                             RunConfig (or read it in the CLI entry point) instead"
-                        ),
-                    });
-                    break;
-                }
-            }
-        }
-    }
-}
+pub const UNCHECKED_ENV: Banned = Banned {
+    name: "unchecked-env",
+    description: "std::env::var outside obs::log and the repro CLI entry point",
+    allowed_files: &["crates/obs/src/log.rs", "crates/experiments/src/main.rs"],
+    patterns: &["env::var", "env::vars", "env::var_os"],
+    advice: "reads ambient environment — thread the value through RunConfig (or read it \
+             in the CLI entry point) instead",
+};

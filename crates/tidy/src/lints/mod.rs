@@ -10,9 +10,11 @@
 use crate::source::SourceFile;
 use crate::Finding;
 
+pub mod banned;
 pub mod envvar;
 pub mod iteration;
 pub mod ratchet;
+pub mod rawthread;
 pub mod rng;
 pub mod stderr;
 pub mod unsafety;
@@ -44,9 +46,10 @@ pub fn line_registry() -> Vec<Box<dyn Lint>> {
     vec![
         Box::new(iteration::NondeterministicIteration),
         Box::new(rng::AmbientRng),
-        Box::new(wallclock::WallClock),
+        Box::new(wallclock::WALL_CLOCK),
         Box::new(unsafety::UndocumentedUnsafe),
         Box::new(stderr::RawStderr),
-        Box::new(envvar::UncheckedEnv),
+        Box::new(envvar::UNCHECKED_ENV),
+        Box::new(rawthread::RAW_THREAD),
     ]
 }

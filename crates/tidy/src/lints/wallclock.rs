@@ -7,53 +7,20 @@
 //! `Session` build-time diagnostics — all of which keep elapsed time out
 //! of scenario digests. Test and bench files may time freely.
 
-use super::Lint;
-use crate::source::SourceFile;
-use crate::Finding;
-
-/// Files sanctioned to read the clock (diagnostics-only surfaces).
-const ALLOWED_FILES: [&str; 3] = [
-    "crates/obs/src/span.rs",
-    "crates/experiments/src/bench_snapshot.rs",
-    "crates/experiments/src/session.rs",
-];
-
-const PATTERNS: [&str; 2] = ["Instant::now", "SystemTime::now"];
+use super::banned::Banned;
 
 /// See the module docs.
-pub struct WallClock;
-
-impl Lint for WallClock {
-    fn name(&self) -> &'static str {
-        "wall-clock"
-    }
-
-    fn description(&self) -> &'static str {
-        "Instant::now/SystemTime::now outside the obs-span/bench-snapshot/session allowlist"
-    }
-
-    fn check_file(&mut self, file: &SourceFile, sink: &mut Vec<Finding>) {
-        if ALLOWED_FILES.contains(&file.rel_path.as_str()) || file.is_test_file {
-            return;
-        }
-        for (idx, line) in file.code.iter().enumerate() {
-            let lineno = idx + 1;
-            if file.is_test_line(lineno) {
-                continue;
-            }
-            for pat in PATTERNS {
-                if line.contains(pat) {
-                    sink.push(Finding {
-                        lint: self.name(),
-                        file: file.rel_path.clone(),
-                        line: lineno,
-                        message: format!(
-                            "`{pat}` outside the timing allowlist — route through obs spans \
-                             or justify with a tidy:allow directive"
-                        ),
-                    });
-                }
-            }
-        }
-    }
-}
+pub const WALL_CLOCK: Banned = Banned {
+    name: "wall-clock",
+    description:
+        "Instant::now/SystemTime::now outside the obs-span/bench-snapshot/session allowlist",
+    // The diagnostics-only surfaces sanctioned to read the clock.
+    allowed_files: &[
+        "crates/obs/src/span.rs",
+        "crates/experiments/src/bench_snapshot.rs",
+        "crates/experiments/src/session.rs",
+    ],
+    patterns: &["Instant::now", "SystemTime::now"],
+    advice: "outside the timing allowlist — route through obs spans or justify with a \
+             tidy:allow directive",
+};

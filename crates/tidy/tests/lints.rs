@@ -142,6 +142,28 @@ fn unchecked_env_respects_the_allowlist() {
 }
 
 #[test]
+fn raw_thread_fires_and_is_suppressible() {
+    assert_eq!(
+        fired(include_str!("fixtures/rawthread_fires.rs")),
+        vec!["raw-thread"]
+    );
+    assert_eq!(lint(include_str!("fixtures/rawthread_allowed.rs")), vec![]);
+    assert_eq!(
+        fired(include_str!("fixtures/rawthread_stale.rs")),
+        vec!["stale-allow"]
+    );
+}
+
+#[test]
+fn raw_thread_respects_the_allowlist_and_test_code() {
+    let text = include_str!("fixtures/rawthread_fires.rs");
+    assert_eq!(check_source("crates/obs/src/par.rs", text), vec![]);
+    assert_eq!(check_source("crates/core/tests/fixture.rs", text), vec![]);
+    let in_test_mod = format!("#[cfg(test)]\nmod tests {{\n{text}}}\n");
+    assert_eq!(lint(&in_test_mod), vec![]);
+}
+
+#[test]
 fn malformed_directives_are_reported() {
     let findings = lint(include_str!("fixtures/bad_allow.rs"));
     let lints: Vec<_> = findings.iter().map(|f| f.lint).collect();

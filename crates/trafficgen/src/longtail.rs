@@ -18,10 +18,10 @@
 //! output is byte-identical at any `threads` count (day workers buffer and
 //! flush in order, exactly like [`crate::synth`]'s day fan-out).
 
-use crate::par::fan_out;
 use crate::synth::SportAlloc;
 use flowmon::sink::{CollectSink, FlowSink};
 use flowmon::{FlowKey, FlowRecord, Scope};
+use obs::par::fan_out_ordered;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::net::IpAddr;
@@ -36,7 +36,7 @@ pub struct LongTailTrafficConfig {
     /// Master seed (per-day RNGs derive from it).
     pub seed: u64,
     /// Days to simulate. Peak memory is independent of this: day workers
-    /// buffer at most one chunk of days, aggregators hold O(ASes).
+    /// buffer at most 2 × `threads` days, aggregators hold O(ASes).
     pub num_days: u32,
     /// Flow records per simulated day.
     pub flows_per_day: usize,
@@ -167,19 +167,19 @@ pub fn synthesize_long_tail_into<S: FlowSink>(
         }
         return;
     }
-    // Chunked day fan-out (see `synth::run_days`): one chunk in flight,
-    // flushed in day order, so peak memory is O(chunk × day records) and
-    // the emitted sequence matches the sequential path exactly.
-    let chunk = (config.threads * 2).max(1) as u32;
-    let mut start = 0u32;
-    while start < config.num_days {
-        let end = (start + chunk).min(config.num_days);
-        let buffers = fan_out((start..end).collect(), config.threads, |_, day| {
+    // Day fan-out (see `synth::run_days`): at most 2 × `threads` buffered
+    // days in flight, flushed in day order, so peak memory is O(window ×
+    // day records) and the emitted sequence matches the sequential path
+    // exactly.
+    fan_out_ordered(
+        (0..config.num_days).collect(),
+        config.threads,
+        |_, day| {
             let mut buf = CollectSink::new();
             synthesize_day(world, config, day, &mut buf);
             buf.into_records()
-        });
-        for records in buffers {
+        },
+        |_, records| {
             // Re-deliver in the exact hour runs the sequential path emits,
             // so batched sinks see identical `accept_batch` boundaries (and
             // identical memo counters) at any thread count.
@@ -189,9 +189,8 @@ pub fn synthesize_long_tail_into<S: FlowSink>(
                 off += n;
             }
             debug_assert_eq!(off, records.len());
-        }
-        start = end;
-    }
+        },
+    );
 }
 
 #[cfg(test)]

@@ -26,12 +26,12 @@
 //! [`synthesize_isps`] fans several independent ISPs (e.g. one per pool
 //! size in a CGN sweep) out over the same [`fan_out`] primitive.
 
-use crate::par::fan_out;
 use crate::profile::ResidenceProfile;
 use crate::synth::{synthesize_day_into, GatewayMode, ResidenceCtx, ResidenceSetup, TrafficConfig};
 use faults::PoolTarget;
 use flowmon::sink::{CollectSink, FlowSink, NullSink};
 use flowmon::FlowRecord;
+use obs::par::fan_out;
 use serde::Serialize;
 use transition::provider::{Admission, ProviderDayStats, ProviderGateway, ProviderPool};
 use transition::{AccessTech, GatewayConfig, GatewayStats};

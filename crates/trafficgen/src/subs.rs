@@ -7,7 +7,7 @@
 //! list is day-major: `(day 0, shard 0), (day 0, shard 1), …, (day 1,
 //! shard 0), …`; each `(day, shard)` task is a pure function of
 //! `(seed, day, shard)`, which is exactly the contract the work-stealing
-//! [`crate::par::fan_out`] needs — completion order is irrelevant, the
+//! [`obs::par::fan_out_ordered`] needs — completion order is irrelevant, the
 //! emitted stream is byte-identical at any thread count.
 //!
 //! Each task's records are delivered as **one** `accept_batch` run. That
@@ -16,9 +16,9 @@
 //! indistinguishable — batch boundaries included — from the in-memory
 //! stream.
 
-use crate::par::fan_out;
 use flowmon::sink::FlowSink;
 use flowmon::{FlowKey, FlowRecord, Scope};
+use obs::par::fan_out_ordered;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
@@ -65,9 +65,13 @@ impl Default for SubscriberTrafficConfig {
     }
 }
 
-/// Number of shards the population splits into.
-pub fn num_shards(world: &World, config: &SubscriberTrafficConfig) -> usize {
-    world.subscribers.count.div_ceil(config.shard_size.max(1))
+/// The canonical day-major task list: every `(day, shard)` pair, days
+/// ascending, shards ascending within a day.
+pub fn shard_tasks(world: &World, config: &SubscriberTrafficConfig) -> Vec<(u32, usize)> {
+    let shards = world.subscribers.count.div_ceil(config.shard_size.max(1));
+    (0..config.num_days)
+        .flat_map(|day| (0..shards).map(move |shard| (day, shard)))
+        .collect()
 }
 
 /// The subscriber's source address for one flow family.
@@ -111,20 +115,9 @@ fn poisson(rng: &mut SmallRng, lambda: f64) -> usize {
     }
 }
 
-/// Synthesize one `(day, shard)` task into `sink` as a single
-/// `accept_batch` run. Pure function of `(config.seed, day, shard)` plus
-/// the world — the work-stealing contract.
-pub fn synthesize_shard_day<S: FlowSink>(
-    world: &World,
-    config: &SubscriberTrafficConfig,
-    day: u32,
-    shard: usize,
-    sink: &mut S,
-) {
-    sink.accept_batch(&shard_day_records(world, config, day, shard));
-}
-
-/// The records of one `(day, shard)` task, in emission order.
+/// The records of one `(day, shard)` task, in emission order. Pure
+/// function of `(config.seed, day, shard)` plus the world — the
+/// work-stealing contract.
 pub fn shard_day_records(
     world: &World,
     config: &SubscriberTrafficConfig,
@@ -202,36 +195,19 @@ pub fn shard_day_records(
 /// Synthesize the whole run into `sink` in canonical order: days
 /// ascending, shards ascending within a day, one `accept_batch` run per
 /// `(day, shard)` task. Byte-identical at any `config.threads` — tasks go
-/// through the work-stealing fan-out and are flushed in task order, so
-/// peak memory is O(in-flight chunk), not O(run).
+/// through the ordered work-stealing fan-out and are flushed in task
+/// order, so peak memory is O(2 × threads) shard-days, not O(run).
 pub fn synthesize_subscribers_into<S: FlowSink>(
     world: &World,
     config: &SubscriberTrafficConfig,
     sink: &mut S,
 ) {
-    let shards = num_shards(world, config);
-    if config.threads.max(1) == 1 {
-        for day in 0..config.num_days {
-            for shard in 0..shards {
-                synthesize_shard_day(world, config, day, shard, sink);
-            }
-        }
-        return;
-    }
-    // Flat day-major task list, fanned out in chunks: one chunk of tasks is
-    // in flight at a time and flushed in canonical order.
-    let tasks: Vec<(u32, usize)> = (0..config.num_days)
-        .flat_map(|day| (0..shards).map(move |shard| (day, shard)))
-        .collect();
-    let chunk = (config.threads * 2).max(1);
-    for window in tasks.chunks(chunk) {
-        let buffers = fan_out(window.to_vec(), config.threads, |_, (day, shard)| {
-            shard_day_records(world, config, day, shard)
-        });
-        for records in buffers {
-            sink.accept_batch(&records);
-        }
-    }
+    fan_out_ordered(
+        shard_tasks(world, config),
+        config.threads,
+        |_, (day, shard)| shard_day_records(world, config, day, shard),
+        |_, records| sink.accept_batch(&records),
+    );
 }
 
 #[cfg(test)]

@@ -29,7 +29,6 @@
 //! provider gateway of [`crate::provider`], which defers binding admission
 //! to a pool persisted across days and residences.
 
-use crate::par::fan_out;
 use crate::profile::ResidenceProfile;
 use dnssim::{Name, ResolveAddrs, Resolver};
 use faults::{DayPathFault, FaultPlan, FaultyResolver, PoolTarget, DNS_STREAM, FLOW_DROP_STREAM};
@@ -39,6 +38,7 @@ use happyeyeballs::{HappyEyeballs, HappyEyeballsConfig};
 use iputil::prefix::{Prefix4, Prefix6};
 use iputil::Family;
 use netsim::{Network, PathProfile, MILLIS};
+use obs::par::{fan_out, fan_out_ordered};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
@@ -91,15 +91,6 @@ pub struct TrafficConfig {
     /// without the fault plane; a non-empty plan perturbs only what it
     /// schedules, from dedicated `(fault, residence, day)` RNG streams.
     pub faults: FaultPlan,
-    /// Derive a dedicated RNG stream per `(day, service)` for each
-    /// service's external emission (hour grid + day-end flush) instead of
-    /// letting every service share the day stream. With the flag on, one
-    /// service's draw count no longer shifts any other service's draws —
-    /// the isolation the service×hour analysis grid needs. Off by default:
-    /// enabling it changes the stream layout and therefore the output
-    /// bytes, but output stays byte-identical across `threads` ×
-    /// `day_threads` either way.
-    pub service_streams: bool,
 }
 
 impl Default for TrafficConfig {
@@ -110,13 +101,10 @@ impl Default for TrafficConfig {
             scale: 1.0 / 1000.0,
             he_both_flow_rate: 0.13,
             he: HappyEyeballsConfig::default(),
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get().min(8))
-                .unwrap_or(1),
+            threads: obs::par::default_threads(),
             day_threads: 1,
             gateway: GatewayConfig::default(),
             faults: FaultPlan::default(),
-            service_streams: false,
         }
     }
 }
@@ -204,14 +192,6 @@ fn residence_seed(seed: u64, residence_index: u64) -> u64 {
 fn day_seed(seed: u64, residence_index: u64, day: u32) -> u64 {
     residence_seed(seed, residence_index)
         .wrapping_add((day as u64 + 1).wrapping_mul(0xd134_2543_de82_ef95))
-}
-
-/// Service-level RNG seed: a third independent stream per
-/// (residence, day, service), used only under
-/// [`TrafficConfig::service_streams`].
-fn service_seed(seed: u64, residence_index: u64, day: u32, service_index: usize) -> u64 {
-    day_seed(seed, residence_index, day)
-        .wrapping_add((service_index as u64 + 1).wrapping_mul(0x2545_f491_4f6c_dd1d))
 }
 
 /// Synthesize every paper residence, fanning residences out over
@@ -476,33 +456,28 @@ pub(crate) fn run_days<S: FlowSink>(
             drops.absorb(day_drops);
         }
     } else {
-        // Day fan-out, chunked: each worker buffers its day, and only one
-        // chunk of days is in flight at a time — the chunk flushes to the
-        // sink in day order before the next begins, so the record sequence
-        // is identical to the sequential path and peak memory is bounded
-        // by O(chunk) day buffers, not O(run). Chunk size is a small
-        // multiple of the worker count (enough days per dispatch to
-        // amortize thread spawning; day seeds are chunk-oblivious, so the
+        // Day fan-out: each worker buffers its day, and the ordered fan-out
+        // flushes the buffers to the sink in day order with at most
+        // 2 × `day_threads` days in flight, so the record sequence is
+        // identical to the sequential path and peak memory is bounded by
+        // the window, not the run (day seeds are window-oblivious, so the
         // split cannot affect output).
-        let day_threads = config.day_threads;
-        let chunk = (day_threads * 2).max(1) as u32;
-        let mut start = 0u32;
-        while start < config.num_days {
-            let end = (start + chunk).min(config.num_days);
-            let day_results = fan_out((start..end).collect(), day_threads, |_, day| {
+        fan_out_ordered(
+            (0..config.num_days).collect(),
+            config.day_threads,
+            |_, day| {
                 let mut buf = CollectSink::new();
                 let outcome = synthesize_day_into(ctx, day, mode, &mut buf);
                 (buf.into_records(), outcome)
-            });
-            for (records, (stats, day_drops)) in day_results {
+            },
+            |_, (records, (stats, day_drops))| {
                 for r in &records {
                     sink.accept(r);
                 }
                 absorb(&mut gateway, stats);
                 drops.absorb(day_drops);
-            }
-            start = end;
-        }
+            },
+        );
     }
     (gateway, drops)
 }
@@ -1086,20 +1061,6 @@ pub(crate) fn synthesize_day_into<S: FlowSink>(
         sink,
     };
 
-    // Opt-in per-(day, service) streams: each service's external emission
-    // draws from a stream seeded by (residence, day, service), swapped into
-    // `run.rng` around that service's grid cell. Day-level randomness (HE
-    // races, day weights, ICMP, internal chatter) stays on the day stream.
-    let mut svc_rngs: Vec<SmallRng> = if config.service_streams {
-        (0..services.len())
-            .map(|si| {
-                SmallRng::seed_from_u64(service_seed(config.seed, setup.residence_index, day, si))
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
     // Byte/flow-mass accumulators per (service, family bucket): hours whose
     // sampled flow expectation is below one record carry their bytes
     // forward within the day instead of dropping them (dropping would bias
@@ -1167,9 +1128,6 @@ pub(crate) fn synthesize_day_into<S: FlowSink>(
                     }
                 }
             };
-            if config.service_streams {
-                std::mem::swap(&mut run.rng, &mut svc_rngs[si]);
-            }
             for (family_v6, bytes_real) in [
                 (true, svc_hour_bytes * p_v6),
                 (false, svc_hour_bytes * (1.0 - p_v6)),
@@ -1194,9 +1152,6 @@ pub(crate) fn synthesize_day_into<S: FlowSink>(
                     let bytes = ((bytes_sampled * w / wsum).max(200.0)) as u64;
                     run.emit_external(svc, family_v6, bytes, day, hour);
                 }
-            }
-            if config.service_streams {
-                std::mem::swap(&mut run.rng, &mut svc_rngs[si]);
             }
         }
 
@@ -1325,18 +1280,12 @@ pub(crate) fn synthesize_day_into<S: FlowSink>(
     // exactly — low-volume (service, family) buckets keep their long-run
     // byte share instead of losing it at every midnight.
     for (si, svc) in services.iter().enumerate() {
-        if config.service_streams {
-            std::mem::swap(&mut run.rng, &mut svc_rngs[si]);
-        }
         for fam in 0..2 {
             let p = pending_flows[si][fam].min(1.0);
             if p > 0.0 && pending_bytes[si][fam] >= 1.0 && run.rng.gen::<f64>() < p {
                 let bytes = (pending_bytes[si][fam] / p) as u64;
                 run.emit_external(svc, fam == 1, bytes, day, 23);
             }
-        }
-        if config.service_streams {
-            std::mem::swap(&mut run.rng, &mut svc_rngs[si]);
         }
     }
 
@@ -1600,47 +1549,6 @@ mod tests {
         assert_eq!(g1.granted, g4.granted);
         assert_eq!(g1.rejected, g4.rejected);
         assert_eq!(g1.peak_active, g4.peak_active);
-    }
-
-    #[test]
-    fn service_streams_identical_at_any_layout() {
-        // The per-(day, service) schedule must hold the same contract the
-        // per-(residence, day) schedule does: byte-identical output at any
-        // threads × day_threads layout.
-        let world = World::generate(&WorldConfig::small());
-        let profiles = crate::profile::paper_residences();
-        let cfg = |threads: usize, day_threads: usize| TrafficConfig {
-            num_days: 20,
-            service_streams: true,
-            threads,
-            day_threads,
-            ..TrafficConfig::fast()
-        };
-        let seq = synthesize_residence(&world, profiles[0].clone(), &cfg(1, 1), 0);
-        for (threads, day_threads) in [(1, 5), (4, 3)] {
-            let par =
-                synthesize_residence(&world, profiles[0].clone(), &cfg(threads, day_threads), 0);
-            assert_eq!(
-                seq.flows, par.flows,
-                "service streams differ at {threads}x{day_threads}"
-            );
-        }
-        // The dedicated streams must actually engage: the layout change is
-        // observable against the shared day stream...
-        let shared = synthesize_residence(
-            &world,
-            profiles[0].clone(),
-            &TrafficConfig {
-                num_days: 20,
-                ..TrafficConfig::fast()
-            },
-            0,
-        );
-        assert_ne!(seq.flows, shared.flows, "flag on must change the draws");
-        // ...while leaving aggregate behavior calibrated: same order of
-        // magnitude of flows either way.
-        assert!(seq.flows.len() * 2 > shared.flows.len());
-        assert!(shared.flows.len() * 2 > seq.flows.len());
     }
 
     #[test]
